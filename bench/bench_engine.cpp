@@ -83,7 +83,7 @@ void BM_ReduceSingleGroupTouch(benchmark::State& state) {
   Graph g;
   auto& in = g.make<Input<KV>>();
   auto& red = g.make<Reduce<int, int, KV>>(
-      in.out, [](const int& k, const ZSet<int>& group, std::vector<KV>& out) {
+      in.out, [](const int& k, dd::GroupView<int> group, std::vector<KV>& out) {
         int best = INT32_MAX;
         for (const auto& [v, w] : group) best = std::min(best, v);
         out.push_back({k, best});

@@ -165,8 +165,16 @@ class Graph {
   /// overwritten.
   void restore(const GraphSnapshot& snap);
 
+  /// True once `op` has flushed often enough in the current commit for the
+  /// recurring-state detector to want the hashes of its emitted deltas.
+  bool recurrence_watched(const OperatorBase& op) const noexcept {
+    return in_commit_ && recurrence_threshold_ != 0 &&
+           recurrence_[op.id()].commit_flushes >= recurrence_threshold_;
+  }
+
   /// Used by operators (inside flush) to report the hash of the delta they
-  /// just emitted, feeding the recurring-state detector.
+  /// just emitted, feeding the recurring-state detector. Only consulted
+  /// while recurrence_watched(op) holds.
   void note_emitted_delta(const OperatorBase& op, std::size_t delta_hash);
 
  private:

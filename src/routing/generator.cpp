@@ -27,19 +27,12 @@ FibCandidate unpack(const Cand& c) {
                       std::get<3>(c)};
 }
 
-/// Joins cannot return "no tuple", so rejected derivations surface as a
-/// sentinel (node == kInvalidNode) and are dropped by the next Filter.
-template <class R>
-bool is_rejected(const R& r) {
-  return r.node == topo::kInvalidNode;
-}
-
 std::uint32_t metric_of(const OspfRoute& r) { return r.cost; }
 std::uint32_t metric_of(const RipRoute& r) { return r.metric; }
 
 /// OSPF/RIP selection: every minimum-metric candidate (the ECMP set).
 template <class Route>
-void min_metric_select(const Key&, const ZSet<Route>& group, std::vector<Route>& out) {
+void min_metric_select(const Key&, GroupView<Route> group, std::vector<Route>& out) {
   std::uint32_t best = std::numeric_limits<std::uint32_t>::max();
   for (const auto& [r, w] : group) best = std::min(best, metric_of(r));
   for (const auto& [r, w] : group) {
@@ -48,7 +41,7 @@ void min_metric_select(const Key&, const ZSet<Route>& group, std::vector<Route>&
 }
 
 /// BGP decision process: single deterministic winner.
-void bgp_select(const Key&, const ZSet<BgpRoute>& group, std::vector<BgpRoute>& out) {
+void bgp_select(const Key&, GroupView<BgpRoute> group, std::vector<BgpRoute>& out) {
   const BgpRoute* best = nullptr;
   for (const auto& [r, w] : group) {
     if (best == nullptr || bgp_better(r, *best)) best = &r;
@@ -64,45 +57,40 @@ struct Chain {
   Stream<Route>* conv_diff = nullptr;        ///< best_R - best_{R-1}
 };
 
-/// Builds: origins -> best_0 -> [extend ⋈ links -> candidates -> best_r]*R
-/// plus the convergence diff. `extend` maps (route, link-fact) to the
-/// propagated route or a sentinel; `select` is the protocol's decision.
+/// Builds: origins -> best_0 -> [extend ⋈ links -> best_r]*R plus the
+/// convergence diff. Each round is two operators: a JoinArranged that
+/// extends best_{r-1} over the links into keyed candidates, and a Reduce
+/// over origins and those candidates. Every round reads the one links
+/// Arrange built here, ahead of the rounds. `extend(route, link)` returns
+/// the propagated route or nullopt; `select` is the protocol's decision.
 template <class Route, class LinkFact, class Select, class Extend>
 Chain<Route> build_chain(Graph& g, const std::string& proto, Stream<LinkFact>& links,
                          unsigned rounds, Select select, Extend extend) {
   Chain<Route> chain;
   chain.origins = &g.make<Concat<Route>>(proto + ".origins");
 
-  auto key_route = [](const Route& r) { return std::pair<Key, Route>{{r.node, r.prefix}, r}; };
-  auto& origins_keyed = g.make<Map<Route, std::pair<Key, Route>>>(chain.origins->out, key_route,
-                                                                  proto + ".origins_keyed");
-  auto& links_by_from = g.make<Map<LinkFact, std::pair<topo::NodeId, LinkFact>>>(
-      links, [](const LinkFact& f) { return std::pair<topo::NodeId, LinkFact>{f.from, f}; },
-      proto + ".links_by_from");
+  auto& origins_keyed = g.make<Map<Route, std::pair<Key, Route>>>(
+      chain.origins->out,
+      [](const Route& r) { return std::pair<Key, Route>{{r.node, r.prefix}, r}; },
+      proto + ".origins_keyed");
+  auto& links_by_from = g.make<Arrange<topo::NodeId, LinkFact>>(
+      links, [](const LinkFact& f) { return f.from; }, proto + ".links_by_from");
 
   Reduce<Key, Route, Route>* prev =
       &g.make<Reduce<Key, Route, Route>>(origins_keyed.out, select, proto + ".best_r0");
   Reduce<Key, Route, Route>* prev_prev = nullptr;
   for (unsigned r = 1; r <= rounds; ++r) {
     const std::string tag = proto + ".r" + std::to_string(r);
-    auto& by_node = g.make<Map<Route, std::pair<topo::NodeId, Route>>>(
-        prev->out,
-        [](const Route& rt) { return std::pair<topo::NodeId, Route>{rt.node, rt}; },
-        tag + ".by_node");
-    auto& ext = g.make<Join<topo::NodeId, Route, LinkFact, Route>>(
-        by_node.out, links_by_from.out,
-        [extend](const topo::NodeId&, const Route& rt, const LinkFact& l) {
-          return extend(rt, l);
+    auto& ext = join_arranged(
+        g, prev->out, links_by_from, [](const Route& rt) { return rt.node; },
+        [extend](const Route& rt, const LinkFact& l) -> std::optional<std::pair<Key, Route>> {
+          std::optional<Route> next = extend(rt, l);
+          if (!next) return std::nullopt;
+          return std::pair<Key, Route>{{next->node, next->prefix}, std::move(*next)};
         },
         tag + ".extend");
-    auto& ext_ok = g.make<Filter<Route>>(
-        ext.out, [](const Route& rt) { return !is_rejected(rt); }, tag + ".extend_ok");
-    auto& ext_keyed =
-        g.make<Map<Route, std::pair<Key, Route>>>(ext_ok.out, key_route, tag + ".extend_keyed");
-    auto& cand = g.make<Concat<std::pair<Key, Route>>>(tag + ".cand");
-    cand.add_input(origins_keyed.out);
-    cand.add_input(ext_keyed.out);
-    auto& best = g.make<Reduce<Key, Route, Route>>(cand.out, select, tag + ".best");
+    auto& best = g.make<Reduce<Key, Route, Route>>(origins_keyed.out, select, tag + ".best");
+    best.add_input(ext.out);
     prev_prev = prev;
     prev = &best;
   }
@@ -116,35 +104,46 @@ Chain<Route> build_chain(Graph& g, const std::string& proto, Stream<LinkFact>& l
   return chain;
 }
 
-/// Wires dynamic redistribution: native best routes of `from_best` are
-/// converted (per matching facts at the same node) and added to the target
+/// A RIB source's tuples keyed by (node, prefix) as packed FIB candidates.
+template <class T>
+Stream<std::pair<Key, Cand>>& fib_candidates(Graph& g, Stream<T>& source,
+                                             const std::string& name) {
+  return g
+      .make<Map<T, std::pair<Key, Cand>>>(
+          source,
+          [](const T& t) {
+            return std::pair<Key, Cand>{{t.node, t.prefix}, pack(candidate_of(t))};
+          },
+          "fib.cand_" + name)
+      .out;
+}
+
+/// A protocol's converged best routes indexed by node: read by its
+/// redistribution joins (and, for BGP, by aggregation).
+template <class Route>
+Arrange<topo::NodeId, Route>& arrange_by_node(Graph& g, const std::string& proto,
+                                              Stream<Route>& best) {
+  return g.make<Arrange<topo::NodeId, Route>>(
+      best, [](const Route& r) { return r.node; }, proto + ".best_by_node");
+}
+
+/// Wires dynamic redistribution `from` -> `to`: the node's redistribution
+/// facts for this direction, joined with the native best routes of the
+/// source protocol at that node, are converted and added to the target
 /// protocol's origins. `convert(prefix, egress, fact)` returns the target
 /// route or nullopt.
 template <class FromRoute, class ToRoute, class Convert>
-void wire_redist(Graph& g, const std::string& name, Stream<FromRoute>& from_best,
-                 Stream<std::pair<topo::NodeId, DynRedistFact>>& redist_by_node, Proto from,
-                 Proto to, Concat<ToRoute>& to_origins, Convert convert) {
-  auto& native = g.make<Filter<FromRoute>>(
-      from_best, [](const FromRoute& r) { return r.tag == kTagNative; }, name + ".native");
-  auto& native_by_node = g.make<Map<FromRoute, std::pair<topo::NodeId, FromRoute>>>(
-      native.out,
-      [](const FromRoute& r) { return std::pair<topo::NodeId, FromRoute>{r.node, r}; },
-      name + ".by_node");
-  auto& direction = g.make<Filter<std::pair<topo::NodeId, DynRedistFact>>>(
-      redist_by_node,
-      [from, to](const std::pair<topo::NodeId, DynRedistFact>& kv) {
-        return kv.second.from == from && kv.second.to == to;
+void wire_redist(Graph& g, const std::string& name, Stream<DynRedistFact>& redist,
+                 Arrange<topo::NodeId, FromRoute>& from_best, Proto from, Proto to,
+                 Concat<ToRoute>& to_origins, Convert convert) {
+  auto& join = join_arranged(
+      g, redist, from_best, [](const DynRedistFact& f) { return f.node; },
+      [from, to, convert](const DynRedistFact& f, const FromRoute& r) -> std::optional<ToRoute> {
+        if (f.from != from || f.to != to || r.tag != kTagNative) return std::nullopt;
+        return convert(r.prefix, r.egress, f);
       },
-      name + ".direction");
-  auto& join = g.make<Join<topo::NodeId, FromRoute, DynRedistFact, ToRoute>>(
-      native_by_node.out, direction.out,
-      [convert](const topo::NodeId&, const FromRoute& r, const DynRedistFact& f) {
-        return convert(r.prefix, r.egress, f).value_or(ToRoute{});
-      },
-      name + ".convert");
-  auto& ok = g.make<Filter<ToRoute>>(
-      join.out, [](const ToRoute& r) { return !is_rejected(r); }, name + ".ok");
-  to_origins.add_input(ok.out);
+      name);
+  to_origins.add_input(join.out);
 }
 
 }  // namespace
@@ -195,9 +194,7 @@ void IncrementalGenerator::build_program() {
   // ---- protocol chains -----------------------------------------------------
   Chain<OspfRoute> ospf = build_chain<OspfRoute, OspfLinkFact>(
       graph_, "ospf", in_ospf_links_->out, rounds, min_metric_select<OspfRoute>,
-      [](const OspfRoute& rt, const OspfLinkFact& l) {
-        return extend_ospf(rt, l).value_or(OspfRoute{});
-      });
+      [](const OspfRoute& rt, const OspfLinkFact& l) { return extend_ospf(rt, l); });
   auto& ospf_fact_origins = graph_.make<Map<OspfOriginFact, OspfRoute>>(
       in_ospf_origins_->out, [](const OspfOriginFact& f) { return make_ospf_origin(f); },
       "ospf.fact_origins");
@@ -205,9 +202,7 @@ void IncrementalGenerator::build_program() {
 
   Chain<BgpRoute> bgp = build_chain<BgpRoute, BgpSessionFact>(
       graph_, "bgp", in_bgp_sessions_->out, rounds, bgp_select,
-      [](const BgpRoute& rt, const BgpSessionFact& s) {
-        return extend_bgp(rt, s).value_or(BgpRoute{});
-      });
+      [](const BgpRoute& rt, const BgpSessionFact& s) { return extend_bgp(rt, s); });
   auto& bgp_fact_origins = graph_.make<Map<BgpOriginFact, BgpRoute>>(
       in_bgp_origins_->out, [](const BgpOriginFact& f) { return make_bgp_origin(f); },
       "bgp.fact_origins");
@@ -217,9 +212,7 @@ void IncrementalGenerator::build_program() {
   const unsigned rip_rounds = std::min(rounds, config::kRipInfinity - 1);
   Chain<RipRoute> rip = build_chain<RipRoute, RipLinkFact>(
       graph_, "rip", in_rip_links_->out, rip_rounds, min_metric_select<RipRoute>,
-      [](const RipRoute& rt, const RipLinkFact& l) {
-        return extend_rip(rt, l).value_or(RipRoute{});
-      });
+      [](const RipRoute& rt, const RipLinkFact& l) { return extend_rip(rt, l); });
   auto& rip_fact_origins = graph_.make<Map<RipOriginFact, RipRoute>>(
       in_rip_origins_->out, [](const RipOriginFact& f) { return make_rip_origin(f); },
       "rip.fact_origins");
@@ -232,105 +225,60 @@ void IncrementalGenerator::build_program() {
   bgp_conv_ = &graph_.make<Output<BgpRoute>>(*bgp.conv_diff, "bgp.conv");
   rip_conv_ = &graph_.make<Output<RipRoute>>(*rip.conv_diff, "rip.conv");
 
+  auto& ospf_by_node = arrange_by_node(graph_, "ospf", *ospf.best);
+  auto& bgp_by_node = arrange_by_node(graph_, "bgp", *bgp.best);
+  auto& rip_by_node = arrange_by_node(graph_, "rip", *rip.best);
+
   // ---- BGP route aggregation --------------------------------------------------
   // An aggregate is originated while any strictly more-specific route sits
   // in the node's BGP table. Each contributor derives the same aggregate
   // tuple, so Z-set weights count the contributors: the aggregate retracts
   // exactly when the last contributor withdraws. Aggregates may contribute
   // to wider aggregates; containment keeps such chains finite.
-  {
-    auto& agg_by_node = graph_.make<Map<BgpAggregateFact, std::pair<topo::NodeId, BgpAggregateFact>>>(
-        in_bgp_aggregates_->out,
-        [](const BgpAggregateFact& f) {
-          return std::pair<topo::NodeId, BgpAggregateFact>{f.node, f};
-        },
-        "agg.by_node");
-    auto& best_by_node = graph_.make<Map<BgpRoute, std::pair<topo::NodeId, BgpRoute>>>(
-        *bgp.best,
-        [](const BgpRoute& r) { return std::pair<topo::NodeId, BgpRoute>{r.node, r}; },
-        "agg.best_by_node");
-    auto& contrib = graph_.make<Join<topo::NodeId, BgpRoute, BgpAggregateFact, BgpRoute>>(
-        best_by_node.out, agg_by_node.out,
-        [](const topo::NodeId&, const BgpRoute& r, const BgpAggregateFact& f) {
-          return contributes_to_aggregate(r, f) ? make_bgp_aggregate(f) : BgpRoute{};
-        },
-        "agg.contrib");
-    auto& ok = graph_.make<Filter<BgpRoute>>(
-        contrib.out, [](const BgpRoute& r) { return !is_rejected(r); }, "agg.ok");
-    bgp.origins->add_input(ok.out);
-  }
+  auto& contrib = join_arranged(
+      graph_, in_bgp_aggregates_->out, bgp_by_node,
+      [](const BgpAggregateFact& f) { return f.node; },
+      [](const BgpAggregateFact& f, const BgpRoute& r) -> std::optional<BgpRoute> {
+        if (!contributes_to_aggregate(r, f)) return std::nullopt;
+        return make_bgp_aggregate(f);
+      },
+      "agg.contrib");
+  bgp.origins->add_input(contrib.out);
 
   // ---- dynamic redistribution: the full protocol triangle --------------------
-  auto& redist_by_node = graph_.make<Map<DynRedistFact, std::pair<topo::NodeId, DynRedistFact>>>(
-      in_redist_->out,
-      [](const DynRedistFact& f) { return std::pair<topo::NodeId, DynRedistFact>{f.node, f}; },
-      "redist.by_node");
-
-  wire_redist(graph_, "redist.ospf2bgp", *ospf.best, redist_by_node.out, Proto::kOspf,
-              Proto::kBgp, *bgp.origins, make_redist_bgp);
-  wire_redist(graph_, "redist.ospf2rip", *ospf.best, redist_by_node.out, Proto::kOspf,
-              Proto::kRip, *rip.origins, make_redist_rip);
-  wire_redist(graph_, "redist.bgp2ospf", *bgp.best, redist_by_node.out, Proto::kBgp,
-              Proto::kOspf, *ospf.origins, make_redist_ospf);
-  wire_redist(graph_, "redist.bgp2rip", *bgp.best, redist_by_node.out, Proto::kBgp, Proto::kRip,
+  Stream<DynRedistFact>& redist = in_redist_->out;
+  wire_redist(graph_, "redist.ospf2bgp", redist, ospf_by_node, Proto::kOspf, Proto::kBgp,
+              *bgp.origins, make_redist_bgp);
+  wire_redist(graph_, "redist.ospf2rip", redist, ospf_by_node, Proto::kOspf, Proto::kRip,
               *rip.origins, make_redist_rip);
-  wire_redist(graph_, "redist.rip2ospf", *rip.best, redist_by_node.out, Proto::kRip,
-              Proto::kOspf, *ospf.origins, make_redist_ospf);
-  wire_redist(graph_, "redist.rip2bgp", *rip.best, redist_by_node.out, Proto::kRip, Proto::kBgp,
+  wire_redist(graph_, "redist.bgp2ospf", redist, bgp_by_node, Proto::kBgp, Proto::kOspf,
+              *ospf.origins, make_redist_ospf);
+  wire_redist(graph_, "redist.bgp2rip", redist, bgp_by_node, Proto::kBgp, Proto::kRip,
+              *rip.origins, make_redist_rip);
+  wire_redist(graph_, "redist.rip2ospf", redist, rip_by_node, Proto::kRip, Proto::kOspf,
+              *ospf.origins, make_redist_ospf);
+  wire_redist(graph_, "redist.rip2bgp", redist, rip_by_node, Proto::kRip, Proto::kBgp,
               *bgp.origins, make_redist_bgp);
 
   // ---- FIB selection -----------------------------------------------------------
-  auto& candidates = graph_.make<Concat<std::pair<Key, Cand>>>("fib.candidates");
-
-  auto& cand_connected = graph_.make<Map<ConnectedFact, std::pair<Key, Cand>>>(
-      in_connected_->out,
-      [](const ConnectedFact& f) {
-        return std::pair<Key, Cand>{{f.node, f.prefix}, pack(candidate_of(f))};
-      },
-      "fib.cand_connected");
-  candidates.add_input(cand_connected.out);
-
-  auto& cand_static = graph_.make<Map<StaticFact, std::pair<Key, Cand>>>(
-      in_statics_->out,
-      [](const StaticFact& f) {
-        return std::pair<Key, Cand>{{f.node, f.prefix}, pack(candidate_of(f))};
-      },
-      "fib.cand_static");
-  candidates.add_input(cand_static.out);
-
-  auto& cand_ospf = graph_.make<Map<OspfRoute, std::pair<Key, Cand>>>(
-      *ospf.best,
-      [](const OspfRoute& r) {
-        return std::pair<Key, Cand>{{r.node, r.prefix}, pack(candidate_of(r))};
-      },
-      "fib.cand_ospf");
-  candidates.add_input(cand_ospf.out);
-
-  auto& cand_bgp = graph_.make<Map<BgpRoute, std::pair<Key, Cand>>>(
-      *bgp.best,
-      [](const BgpRoute& r) {
-        return std::pair<Key, Cand>{{r.node, r.prefix}, pack(candidate_of(r))};
-      },
-      "fib.cand_bgp");
-  candidates.add_input(cand_bgp.out);
-
-  auto& cand_rip = graph_.make<Map<RipRoute, std::pair<Key, Cand>>>(
-      *rip.best,
-      [](const RipRoute& r) {
-        return std::pair<Key, Cand>{{r.node, r.prefix}, pack(candidate_of(r))};
-      },
-      "fib.cand_rip");
-  candidates.add_input(cand_rip.out);
-
+  // One Reduce over every RIB source picks each (node, prefix)'s FIB row.
+  auto& cand_connected = fib_candidates(graph_, in_connected_->out, "connected");
+  auto& cand_static = fib_candidates(graph_, in_statics_->out, "static");
+  auto& cand_ospf = fib_candidates(graph_, *ospf.best, "ospf");
+  auto& cand_bgp = fib_candidates(graph_, *bgp.best, "bgp");
+  auto& cand_rip = fib_candidates(graph_, *rip.best, "rip");
   auto& fib = graph_.make<Reduce<Key, Cand, FibEntry>>(
-      candidates.out,
-      [](const Key& key, const ZSet<Cand>& group, std::vector<FibEntry>& out) {
+      cand_connected,
+      [](const Key& key, GroupView<Cand> group, std::vector<FibEntry>& out) {
         std::vector<FibCandidate> cands;
         cands.reserve(group.size());
         for (const auto& [c, w] : group) cands.push_back(unpack(c));
         out.push_back(select_fib(key.first, key.second, cands));
       },
       "fib.select");
+  for (Stream<std::pair<Key, Cand>>* cands : {&cand_static, &cand_ospf, &cand_bgp, &cand_rip}) {
+    fib.add_input(*cands);
+  }
   fib_out_ = &graph_.make<Output<FibEntry>>(fib.out, "fib.out");
 }
 

@@ -24,6 +24,16 @@
 // stages; a difference means either max_rounds is too small for the
 // network's diameter/metric structure (increase it) or the control plane
 // genuinely oscillates (paper §6) — both reported as NonterminationError.
+//
+// Each round is two operators. A dd::JoinArranged arranges best_{r-1} by
+// node, joins it with the protocol's link relation and emits (node,
+// prefix)-keyed candidates, dropping rejected extensions; a multi-input
+// dd::Reduce selects best_r from origins plus those candidates. All rounds
+// read one dd::Arrange of the links, built ahead of them, so it has
+// absorbed a link delta dB before any round flushes; each round applies
+//     d(A ⋈ B) = dA ⋈ B_new + A_old ⋈ dB
+// which stays exact when redistribution feedback flushes a round twice in
+// one commit (dB arrives once; later flushes carry only dA).
 
 #include <cstdint>
 #include <memory>

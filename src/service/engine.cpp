@@ -244,11 +244,10 @@ void Engine::worker_loop_() {
     lock.unlock();
 
     space_cv_.notify_all();
-    process_batch_(slot, std::move(batch));
+    std::vector<HeldReply> held = process_batch_(slot, std::move(batch));
 
     lock.lock();
     slot.busy = false;
-    --active_workers_;
     if (!slot.queue.empty()) {
       if (!slot.ready) {
         slot.ready = true;
@@ -260,6 +259,12 @@ void Engine::worker_loop_() {
       // the session name can be reused.
       slots_.erase(name);
     }
+    if (!held.empty()) {
+      lock.unlock();
+      for (HeldReply& h : held) h.callback(std::move(h.response));
+      lock.lock();
+    }
+    --active_workers_;
     idle_cv_.notify_all();
   }
 }
@@ -353,7 +358,7 @@ void Engine::read_worker_loop_() {
   }
 }
 
-void Engine::process_batch_(Slot& slot, std::vector<Pending> batch) {
+std::vector<Engine::HeldReply> Engine::process_batch_(Slot& slot, std::vector<Pending> batch) {
   metrics_.batches_total.inc();
   metrics_.batch_size.record(static_cast<double>(batch.size()));
 
@@ -384,6 +389,7 @@ void Engine::process_batch_(Slot& slot, std::vector<Pending> batch) {
     }
   }
 
+  std::vector<HeldReply> held;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     Pending& p = batch[i];
     Response r;
@@ -400,8 +406,13 @@ void Engine::process_batch_(Slot& slot, std::vector<Pending> batch) {
     // the epoch fence guarantees any subsequent read observes this request.
     acknowledge_(slot, std::move(effect));
     if (!r.ok) metrics_.errors_total.inc();
-    p.callback(std::move(r));
+    if (slot.session == nullptr) {
+      held.push_back(HeldReply{std::move(p.callback), std::move(r)});
+    } else {
+      p.callback(std::move(r));
+    }
   }
+  return held;
 }
 
 void Engine::acknowledge_(Slot& slot, ReplicaEffect effect) {

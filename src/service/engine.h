@@ -185,7 +185,17 @@ class Engine {
 
   void worker_loop_();
   void read_worker_loop_();
-  void process_batch_(Slot& slot, std::vector<Pending> batch);
+  /// A reply whose callback must wait until the worker releases the slot.
+  struct HeldReply {
+    Callback callback;
+    Response response;
+  };
+  /// Handles `batch` in order. Once an `open` fails, its reply and every
+  /// later one are returned instead of answered. The worker fires them
+  /// after releasing the slot, which it erases when nothing more is queued,
+  /// so a caller that reopens the name once it sees the failure never finds
+  /// the dead slot still there.
+  std::vector<HeldReply> process_batch_(Slot& slot, std::vector<Pending> batch);
   Response handle_(Slot& slot, const Request& req, ReplicaEffect& effect);
   Response handle_open_(Slot& slot, const Request& req, ReplicaEffect& effect);
   /// The read-only verbs (query/explain/relate), runnable against either

@@ -209,10 +209,13 @@ struct OscillatorProgram {
     hub.add_input(seed->out);
     auto& flip = graph.make<Reduce<int, int, std::pair<int, int>>>(
         hub.out,
-        [](const int& k, const ZSet<int>& group, std::vector<std::pair<int, int>>& out) {
+        [](const int& k, GroupView<int> group, std::vector<std::pair<int, int>>& out) {
           // If the marker (1) is present, emit nothing (retract it);
           // if absent, emit it. No fixpoint exists.
-          if (group.weight(1) <= 0) out.push_back({k, 1});
+          if (std::ranges::none_of(group,
+                                   [](const auto& e) { return e.first == 1 && e.second > 0; })) {
+            out.push_back({k, 1});
+          }
         },
         "flip");
     hub.add_input(flip.out);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -62,13 +63,16 @@ struct MixedOscillator {
     hub.add_input(seed->out);
     auto& flip = graph.make<Reduce<int, int, Entry>>(
         hub.out,
-        [](const int& k, const ZSet<int>& group, std::vector<Entry>& emit) {
+        [](const int& k, GroupView<int> group, std::vector<Entry>& emit) {
           if (k != 0) {
             emit.push_back({k, 2});
             return;
           }
           // Key 0: emit the marker iff absent. No fixpoint exists.
-          if (group.weight(1) <= 0) emit.push_back({k, 1});
+          if (std::ranges::none_of(group,
+                                   [](const auto& e) { return e.first == 1 && e.second > 0; })) {
+            emit.push_back({k, 1});
+          }
         },
         "flip");
     hub.add_input(flip.out);

@@ -175,6 +175,23 @@ TEST(Engine, RoutingErrors) {
   EXPECT_GE(engine.metrics().errors_total.value(), 4u);
 }
 
+// A failed open's reply arrives only after its slot is gone, so a caller
+// that reopens the name at once never sees "session already open".
+TEST(Engine, ReopenRightAfterFailedOpenSucceeds) {
+  Engine engine;
+  const topo::Topology t = topo::make_ring(4);
+  const config::NetworkConfig cfg = config::build_ospf_network(t);
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const std::string name = "net" + std::to_string(i);
+    Request bad_open = open_request(2 * i + 1, name, "ring", 4, cfg);
+    bad_open.config_text = "not a config";
+    ASSERT_FALSE(engine.call(std::move(bad_open)).ok);
+    const Response r = engine.call(open_request(2 * i + 2, name, "ring", 4, cfg));
+    ASSERT_TRUE(r.ok) << "reopen " << i << ": " << r.error;
+  }
+  EXPECT_EQ(engine.session_count(), 200u);
+}
+
 TEST(Engine, NonterminatingProposeRecoversViaSession) {
   const topo::Topology t = topo::make_full_mesh(4);
   const config::NetworkConfig good = config::build_bgp_network(t);
