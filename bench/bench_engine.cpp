@@ -4,13 +4,17 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "core/rng.h"
 #include "dd/operators.h"
 
 using namespace rcfg;
 using dd::Graph;
+using dd::Arrange;
 using dd::Input;
-using dd::Join;
 using dd::Map;
 using dd::Output;
 using dd::Reduce;
@@ -54,9 +58,12 @@ void BM_JoinDelta(benchmark::State& state) {
   Graph g;
   auto& left = g.make<Input<KV>>();
   auto& right = g.make<Input<KV>>();
-  auto& join = g.make<Join<int, int, int, long>>(
-      left.out, right.out,
-      [](const int& k, const int& a, const int& b) { return long{k} + a + b; });
+  auto& by_key = g.make<Arrange<int, KV>>(right.out, [](const KV& b) { return b.first; });
+  auto& join = dd::join_arranged(
+      g, left.out, by_key, [](const KV& a) { return a.first; },
+      [](const KV& a, const KV& b) {
+        return std::optional<long>(long{a.first} + a.second + b.second);
+      });
   auto& out = g.make<Output<long>>(join.out);
   core::Rng rng{1};
   for (int i = 0; i < base; ++i) {
@@ -119,22 +126,27 @@ struct ReachProgram {
     auto& seed =
         graph.make<Map<int, Path>>(sources.out, [](const int& s) { return Path{s}; });
     paths.add_input(seed.out);
-    auto& keyed_paths = graph.make<Map<Path, std::pair<int, Path>>>(
-        paths.out, [](const Path& p) { return std::pair<int, Path>{p.back(), p}; });
-    auto& keyed_edges = graph.make<Map<Edge, std::pair<int, int>>>(
-        edges->out, [](const Edge& e) { return std::pair<int, int>{e.first, e.second}; });
-    auto& ext = graph.make<Join<int, Path, int, Path>>(
-        keyed_paths.out, keyed_edges.out, [](const int&, const Path& p, const int& to) {
+    auto& by_tail =
+        graph.make<Arrange<int, Edge>>(edges->out, [](const Edge& e) { return e.first; });
+    // Extend paths by one edge, rejecting any that would revisit a node.
+    auto& ext = dd::join_arranged(
+        graph, paths.out, by_tail, [](const Path& p) { return p.back(); },
+        [](const Path& p, const Edge& e) -> std::optional<Path> {
+          if (std::find(p.begin(), p.end(), e.second) != p.end()) return std::nullopt;
           Path q = p;
-          q.push_back(to);
+          q.push_back(e.second);
           return q;
         });
-    auto& ok = graph.make<dd::Filter<Path>>(ext.out, [](const Path& p) {
-      return std::find(p.begin(), p.end() - 1, p.back()) == p.end() - 1;
-    });
-    paths.add_input(ok.out);
-    auto& heads = graph.make<Map<Path, int>>(paths.out, [](const Path& p) { return p.back(); });
-    auto& nodes = graph.make<dd::Distinct<int>>(heads.out);
+    paths.add_input(ext.out);
+    // Distinct path heads.
+    auto& heads = graph.make<Map<Path, std::pair<int, int>>>(
+        paths.out, [](const Path& p) { return std::pair<int, int>{p.back(), 0}; });
+    auto& nodes = graph.make<Reduce<int, int, int>>(
+        heads.out, [](const int& node, dd::GroupView<int> group, std::vector<int>& out) {
+          if (std::ranges::any_of(group, [](const auto& e) { return e.second > 0; })) {
+            out.push_back(node);
+          }
+        });
     reachable = &graph.make<Output<int>>(nodes.out);
     sources.insert(0);
   }

@@ -97,10 +97,9 @@ int main() {
   // fat tree registers dst prefixes only, so the interval lane never
   // migrates); the T1 column is where the backends differ.
   ChangeRow t1_reference[2];  // per-backend LinkFailure rows, for the summary
-  for (const dpm::BackendKind backend :
-       {dpm::BackendKind::kBdd, dpm::BackendKind::kInterval}) {
-    const bool interval = backend == dpm::BackendKind::kInterval;
-    std::printf("\n--- packet-space backend: %s ---\n\n", dpm::to_string(backend));
+  for (const dpm::BackendKind backend : {dpm::BackendKind::kBdd, dpm::BackendKind::kAuto}) {
+    const bool interval = backend == dpm::BackendKind::kAuto;
+    std::printf("\n--- packet-space backend: %s ---\n\n", interval ? "interval" : "bdd");
     config::NetworkConfig cfg = config::build_bgp_network(topo);
 
     Pipelines pipelines(topo, backend);

@@ -85,8 +85,10 @@ int main() {
   std::printf("responses:\n");
   std::istringstream lines(out.str());
   std::string response;
+  bool all_ok = true;
   while (std::getline(lines, response)) {
     const Value v = Value::parse(response);
+    all_ok = all_ok && v.get_bool("ok", false);
     const std::int64_t id = v.get_int("id");
     if (id == 7) {
       // stats is a big nested object; summarise instead of dumping it raw.
@@ -102,5 +104,6 @@ int main() {
   std::printf("\nnote: propose #3 answers \"coalesced\" with superseded_by 4 — both\n"
               "proposals landed in one batch, and apply() takes the whole intended\n"
               "config, so verifying only the last one is equivalent.\n");
-  return 0;
+  // Nonzero when any request failed, so ctest catches a broken verb.
+  return all_ok ? 0 : 1;
 }

@@ -8,7 +8,7 @@ OperatorBase::OperatorBase(Graph& graph, std::string name)
 void Graph::commit() {
   in_commit_ = true;
   commit_flush_counter_ = 0;
-  recurrence_.assign(ops_.size(), RecurrenceState{});
+  commit_flushes_.assign(ops_.size(), 0);
 
   // On divergence the graph's operator state is partially updated and the
   // instance must be discarded; make sure bookkeeping reflects that.
@@ -27,17 +27,11 @@ void Graph::commit() {
     OperatorBase& op = *ops_[id];
     ++op.flushes_;
     ++commit_flush_counter_;
-    recurrence_[id].commit_flushes += 1;
-    if (commit_flush_counter_ > flush_budget_) {
-      // Find the hottest operator for the diagnostic.
-      std::uint32_t hottest = 0;
-      for (std::uint32_t i = 0; i < recurrence_.size(); ++i) {
-        if (recurrence_[i].commit_flushes > recurrence_[hottest].commit_flushes) hottest = i;
-      }
-      throw NonterminationError(
-          "dataflow commit exceeded flush budget (" + std::to_string(flush_budget_) +
-          "); hottest operator: " + ops_[hottest]->name() + " with " +
-          std::to_string(recurrence_[hottest].commit_flushes) + " flushes");
+    if (++commit_flushes_[id] > kMaxOperatorFlushes) {
+      throw NonterminationError("dataflow commit did not quiesce: operator '" + op.name() +
+                                "' flushed more than " + std::to_string(kMaxOperatorFlushes) +
+                                " times (" + std::to_string(commit_flush_counter_) +
+                                " flushes in this commit)");
     }
     op.flush();
   }
@@ -68,35 +62,6 @@ void Graph::restore(const GraphSnapshot& snap) {
   ready_.clear();
   commits_ = snap.commits;
   last_commit_flushes_ = 0;
-}
-
-void Graph::note_emitted_delta(const OperatorBase& op, std::size_t delta_hash) {
-  if (!recurrence_watched(op)) return;
-  RecurrenceState& rs = recurrence_[op.id()];
-  // Heuristic: a convergent computation keeps producing *new* (shrinking)
-  // deltas; an oscillating one cycles through the same few deltas forever.
-  // Seeing hashes that already sit in the recent-history ring many times in
-  // a row is treated as recurrence. The ring catches period-k cycles for
-  // k <= kRing (e.g., the +route/-route flip of BGP route oscillation).
-  bool seen_recently = false;
-  for (std::size_t h : rs.ring) {
-    if (h != 0 && h == delta_hash) {
-      seen_recently = true;
-      break;
-    }
-  }
-  rs.ring[rs.ring_pos] = delta_hash;
-  rs.ring_pos = (rs.ring_pos + 1) % RecurrenceState::kRing;
-  if (seen_recently) {
-    if (++rs.repeats >= 2 * RecurrenceState::kRing) {
-      throw RecurringStateError("recurring state detected at operator '" + op.name() +
-                                "' after " + std::to_string(rs.commit_flushes) +
-                                " flushes: the control plane likely oscillates "
-                                "(multiple converged states or no convergence)");
-    }
-  } else {
-    rs.repeats = 0;
-  }
 }
 
 }  // namespace rcfg::dd

@@ -12,10 +12,13 @@
 // pending deltas remain — a fixpoint reached *from the previous fixpoint*,
 // touching only state reachable from the input change.
 //
-// Nontermination (paper §6): a commit that exceeds the flush budget throws
-// NonterminationError; a cheap recurring-delta heuristic upgrades the
-// diagnosis to RecurringStateError when an operator keeps re-emitting the
-// same delta (the signature of BGP-style route oscillation).
+// Nontermination (paper §6): a commit in which any one operator flushes
+// more than Graph::kMaxOperatorFlushes times throws NonterminationError
+// naming that operator. A converging routing commit flushes each operator a
+// handful of times, and the routing program's rounds are unrolled, so its
+// own round check (routing/generator.h) diagnoses oscillation after a
+// finished commit; the cap is the backstop for feedback cycles that never
+// quiesce (e.g. mutual redistribution).
 
 #include <cstdint>
 #include <functional>
@@ -31,17 +34,10 @@ namespace rcfg::dd {
 
 class Graph;
 
-/// Commit diverged: the flush budget was exhausted without quiescence.
+/// Commit diverged: an operator hit the flush cap without quiescence.
 class NonterminationError : public std::runtime_error {
  public:
   explicit NonterminationError(const std::string& message) : std::runtime_error(message) {}
-};
-
-/// Commit diverged *and* revisited a previously seen delta — strong
-/// evidence of an oscillating (multi-stable) control plane.
-class RecurringStateError : public NonterminationError {
- public:
-  explicit RecurringStateError(const std::string& message) : NonterminationError(message) {}
 };
 
 /// Base class of every dataflow operator. Identity (`id`) doubles as the
@@ -131,27 +127,17 @@ class Graph {
   /// Mark an operator as having pending input.
   void schedule(OperatorBase& op) { ready_.insert(op.id()); }
 
-  /// Run to quiescence. Throws NonterminationError / RecurringStateError if
-  /// the flush budget is exceeded.
+  /// Flushes one operator may take in one commit before the commit is
+  /// declared divergent.
+  static constexpr std::uint64_t kMaxOperatorFlushes = 10'000;
+
+  /// Run to quiescence. Throws NonterminationError once any operator
+  /// flushes more than kMaxOperatorFlushes times.
   void commit();
-
-  /// Total flushes allowed per commit before declaring divergence. The
-  /// default is generous: a converging routing computation needs at most
-  /// O(diameter * operators) flushes.
-  void set_flush_budget(std::uint64_t budget) noexcept { flush_budget_ = budget; }
-
-  /// Once an operator has been flushed more than this many times within one
-  /// commit, its emitted-delta hashes are recorded for the recurring-state
-  /// heuristic. 0 disables the heuristic.
-  void set_recurrence_threshold(std::uint64_t threshold) noexcept {
-    recurrence_threshold_ = threshold;
-  }
 
   std::size_t operator_count() const noexcept { return ops_.size(); }
   std::uint64_t last_commit_flushes() const noexcept { return last_commit_flushes_; }
   std::uint64_t commit_count() const noexcept { return commits_; }
-  std::uint64_t flush_budget() const noexcept { return flush_budget_; }
-  std::uint64_t recurrence_threshold() const noexcept { return recurrence_threshold_; }
 
   /// Checkpoint every operator's state. Requires quiescence (no operator
   /// scheduled); throws std::logic_error mid-commit or with pending work.
@@ -165,37 +151,12 @@ class Graph {
   /// overwritten.
   void restore(const GraphSnapshot& snap);
 
-  /// True once `op` has flushed often enough in the current commit for the
-  /// recurring-state detector to want the hashes of its emitted deltas.
-  bool recurrence_watched(const OperatorBase& op) const noexcept {
-    return in_commit_ && recurrence_threshold_ != 0 &&
-           recurrence_[op.id()].commit_flushes >= recurrence_threshold_;
-  }
-
-  /// Used by operators (inside flush) to report the hash of the delta they
-  /// just emitted, feeding the recurring-state detector. Only consulted
-  /// while recurrence_watched(op) holds.
-  void note_emitted_delta(const OperatorBase& op, std::size_t delta_hash);
-
  private:
   std::vector<std::unique_ptr<OperatorBase>> ops_;
   std::set<std::uint32_t> ready_;  // ordered: lowest id flushed first
-  std::uint64_t flush_budget_ = 50'000'000;
-  std::uint64_t recurrence_threshold_ = 10'000;
   std::uint64_t last_commit_flushes_ = 0;
   std::uint64_t commits_ = 0;
-
-  // Recurring-state detection scratch (reset each commit). A ring of
-  // recently emitted delta hashes catches period-k oscillations (k <= ring
-  // size), not just period-1.
-  struct RecurrenceState {
-    static constexpr std::size_t kRing = 8;
-    std::uint64_t commit_flushes = 0;
-    std::size_t ring[kRing] = {};
-    std::size_t ring_pos = 0;
-    std::uint32_t repeats = 0;
-  };
-  std::vector<RecurrenceState> recurrence_;
+  std::vector<std::uint64_t> commit_flushes_;  // per operator, reset each commit
   bool in_commit_ = false;
   std::uint64_t commit_flush_counter_ = 0;
 };

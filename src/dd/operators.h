@@ -1,12 +1,12 @@
 #pragma once
 
-// The incremental operator library: Input, Map, Filter, Negate, Concat,
-// Join, Arrange, JoinArranged, Reduce, Distinct, Output.
+// The incremental operator library: Input, Map, Negate, Concat, Arrange,
+// JoinArranged, Reduce, Output — what the routing program is built from.
 //
 // Every operator keeps whatever persistent state it needs (join
-// arrangements, reduce groups, distinct counts) so that processing a delta
-// costs time proportional to the delta and the state it touches — never to
-// the full relation. That state reuse is precisely the "incremental
+// arrangements, reduce groups) so that processing a delta costs time
+// proportional to the delta and the state it touches — never to the full
+// relation. That state reuse is precisely the "incremental
 // computation" the paper borrows from differential dataflow.
 
 #include <functional>
@@ -22,19 +22,6 @@
 #include "dd/zset.h"
 
 namespace rcfg::dd {
-
-namespace detail {
-
-/// Emit with recurring-state bookkeeping; hashing happens only once the
-/// operator is hot enough for the detector to care.
-template <class T>
-void emit_delta(Graph& graph, OperatorBase& op, Stream<T>& out, const ZSet<T>& delta) {
-  if (delta.empty()) return;
-  if (graph.recurrence_watched(op)) graph.note_emitted_delta(op, delta.content_hash());
-  out.emit(delta);
-}
-
-}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // Input
@@ -68,7 +55,7 @@ class Input final : public OperatorBase {
     ZSet<T> delta = std::move(pending_);
     pending_.clear();
     current_.merge(delta);
-    detail::emit_delta(graph_, *this, out, delta);
+    out.emit(delta);
   }
 
   std::shared_ptr<const void> save_state() const override {
@@ -110,7 +97,7 @@ class Map final : public OperatorBase {
     ZSet<Out> delta;
     for (const auto& [t, w] : pending_) delta.add(fn_(t), w);
     pending_.clear();
-    detail::emit_delta(graph_, *this, out, delta);
+    out.emit(delta);
   }
 
   // Stateless: only the pending buffer, which a restore discards.
@@ -122,38 +109,6 @@ class Map final : public OperatorBase {
  private:
   Fn fn_;
   ZSet<In> pending_;
-};
-
-template <class T>
-class Filter final : public OperatorBase {
- public:
-  using Fn = std::function<bool(const T&)>;
-
-  Filter(Graph& graph, Stream<T>& upstream, Fn fn, std::string name = "filter")
-      : OperatorBase(graph, std::move(name)), fn_(std::move(fn)) {
-    upstream.subscribe([this](const ZSet<T>& d) {
-      pending_.merge(d);
-      graph_.schedule(*this);
-    });
-  }
-
-  void flush() override {
-    ZSet<T> delta;
-    for (const auto& [t, w] : pending_) {
-      if (fn_(t)) delta.add(t, w);
-    }
-    pending_.clear();
-    detail::emit_delta(graph_, *this, out, delta);
-  }
-
-  std::shared_ptr<const void> save_state() const override { return nullptr; }
-  void load_state(const void*) override { pending_.clear(); }
-
-  Stream<T> out;
-
- private:
-  Fn fn_;
-  ZSet<T> pending_;
 };
 
 /// Weight negation: the output is the input with every multiplicity
@@ -174,7 +129,7 @@ class Negate final : public OperatorBase {
     ZSet<T> delta;
     for (const auto& [t, w] : pending_) delta.add(t, -w);
     pending_.clear();
-    detail::emit_delta(graph_, *this, out, delta);
+    out.emit(delta);
   }
 
   std::shared_ptr<const void> save_state() const override { return nullptr; }
@@ -204,7 +159,7 @@ class Concat final : public OperatorBase {
   void flush() override {
     ZSet<T> delta = std::move(pending_);
     pending_.clear();
-    detail::emit_delta(graph_, *this, out, delta);
+    out.emit(delta);
   }
 
   std::shared_ptr<const void> save_state() const override { return nullptr; }
@@ -217,108 +172,11 @@ class Concat final : public OperatorBase {
 };
 
 // ---------------------------------------------------------------------------
-// Join
-// ---------------------------------------------------------------------------
-
-/// Binary equi-join on K. Both sides are arranged (indexed by key) so a
-/// delta on either side only probes the matching key's group on the other.
-/// The bilinear update rule d(A ⋈ B) = dA ⋈ B ∪ (A + dA) ⋈ dB is applied
-/// per flush.
-template <class K, class A, class B, class Out>
-class Join final : public OperatorBase {
- public:
-  using Fn = std::function<Out(const K&, const A&, const B&)>;
-
-  Join(Graph& graph, Stream<std::pair<K, A>>& left, Stream<std::pair<K, B>>& right, Fn fn,
-       std::string name = "join")
-      : OperatorBase(graph, std::move(name)), fn_(std::move(fn)) {
-    left.subscribe([this](const ZSet<std::pair<K, A>>& d) {
-      pending_left_.merge(d);
-      graph_.schedule(*this);
-    });
-    right.subscribe([this](const ZSet<std::pair<K, B>>& d) {
-      pending_right_.merge(d);
-      graph_.schedule(*this);
-    });
-  }
-
-  void flush() override {
-    ZSet<std::pair<K, A>> da = std::move(pending_left_);
-    ZSet<std::pair<K, B>> db = std::move(pending_right_);
-    pending_left_.clear();
-    pending_right_.clear();
-
-    ZSet<Out> delta;
-    // dA joined against the *old* right arrangement.
-    for (const auto& [ka, wa] : da) {
-      auto it = right_.find(ka.first);
-      if (it == right_.end()) continue;
-      for (const auto& [b, wb] : it->second) {
-        delta.add(fn_(ka.first, ka.second, b), wa * wb);
-      }
-    }
-    apply(left_, da);
-    // dB joined against the *new* left arrangement.
-    for (const auto& [kb, wb] : db) {
-      auto it = left_.find(kb.first);
-      if (it == left_.end()) continue;
-      for (const auto& [a, wa] : it->second) {
-        delta.add(fn_(kb.first, a, kb.second), wa * wb);
-      }
-    }
-    apply(right_, db);
-
-    detail::emit_delta(graph_, *this, out, delta);
-  }
-
-  std::shared_ptr<const void> save_state() const override {
-    return std::make_shared<const Saved>(Saved{left_, right_});
-  }
-  void load_state(const void* state) override {
-    const Saved& s = *static_cast<const Saved*>(state);
-    left_ = s.left;
-    right_ = s.right;
-    pending_left_.clear();
-    pending_right_.clear();
-  }
-
-  Stream<Out> out;
-
-  /// Number of keys currently arranged on the left/right (introspection).
-  std::size_t left_keys() const noexcept { return left_.size(); }
-  std::size_t right_keys() const noexcept { return right_.size(); }
-
- private:
-  template <class V>
-  using Arrangement = std::unordered_map<K, ZSet<V>, core::TupleHash>;
-
-  struct Saved {
-    Arrangement<A> left;
-    Arrangement<B> right;
-  };
-
-  template <class V>
-  static void apply(Arrangement<V>& arr, const ZSet<std::pair<K, V>>& delta) {
-    for (const auto& [kv, w] : delta) {
-      ZSet<V>& group = arr[kv.first];
-      group.add(kv.second, w);
-      if (group.empty()) arr.erase(kv.first);
-    }
-  }
-
-  Fn fn_;
-  Arrangement<A> left_;
-  Arrangement<B> right_;
-  ZSet<std::pair<K, A>> pending_left_;
-  ZSet<std::pair<K, B>> pending_right_;
-};
-
-// ---------------------------------------------------------------------------
 // Arrange / JoinArranged
 // ---------------------------------------------------------------------------
 
 /// A relation indexed by key, built once and read by any number of
-/// JoinArranged operators — one index where a Join per reader would each
+/// JoinArranged operators — one index where a join per reader would each
 /// keep a copy (differential dataflow's `arrange`). A flush folds the
 /// pending delta into the index *before* emitting it keyed on `out`, so a
 /// reader, which must be created after this operator and therefore flushes
@@ -346,7 +204,7 @@ class Arrange final : public OperatorBase {
       delta.add(std::pair<K, V>{std::move(k), v}, w);
     }
     pending_.clear();
-    detail::emit_delta(graph_, *this, out, delta);
+    out.emit(delta);
   }
 
   std::shared_ptr<const void> save_state() const override {
@@ -424,7 +282,7 @@ class JoinArranged final : public OperatorBase {
     }
     pending_left_.clear();
     pending_right_.clear();
-    detail::emit_delta(graph_, *this, out, delta);
+    out.emit(delta);
   }
 
   std::shared_ptr<const void> save_state() const override {
@@ -529,7 +387,7 @@ class Reduce final : public OperatorBase {
     }
     touched_.clear();
 
-    detail::emit_delta(graph_, *this, out, delta);
+    out.emit(delta);
   }
 
   std::shared_ptr<const void> save_state() const override {
@@ -596,53 +454,6 @@ class Reduce final : public OperatorBase {
   std::vector<typename Groups::value_type*> touched_;
   std::vector<Out> next_;
   std::vector<bool> matched_;
-};
-
-// ---------------------------------------------------------------------------
-// Distinct
-// ---------------------------------------------------------------------------
-
-/// Set semantics: output weight is 1 while the input multiplicity is
-/// positive, 0 otherwise. Needed after projections that can derive the
-/// same tuple several ways (e.g., a FIB entry supported by many paths).
-template <class T>
-class Distinct final : public OperatorBase {
- public:
-  Distinct(Graph& graph, Stream<T>& upstream, std::string name = "distinct")
-      : OperatorBase(graph, std::move(name)) {
-    upstream.subscribe([this](const ZSet<T>& d) {
-      pending_.merge(d);
-      graph_.schedule(*this);
-    });
-  }
-
-  void flush() override {
-    ZSet<T> delta;
-    for (const auto& [t, w] : pending_) {
-      const Weight before = counts_.weight(t);
-      const Weight after = before + w;
-      counts_.add(t, w);
-      const int sign_before = before > 0 ? 1 : 0;
-      const int sign_after = after > 0 ? 1 : 0;
-      if (sign_after != sign_before) delta.add(t, sign_after - sign_before);
-    }
-    pending_.clear();
-    detail::emit_delta(graph_, *this, out, delta);
-  }
-
-  std::shared_ptr<const void> save_state() const override {
-    return std::make_shared<const ZSet<T>>(counts_);
-  }
-  void load_state(const void* state) override {
-    counts_ = *static_cast<const ZSet<T>*>(state);
-    pending_.clear();
-  }
-
-  Stream<T> out;
-
- private:
-  ZSet<T> counts_;
-  ZSet<T> pending_;
 };
 
 // ---------------------------------------------------------------------------

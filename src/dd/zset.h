@@ -93,17 +93,6 @@ class ZSet {
     return out;
   }
 
-  /// A deterministic content hash (order-independent).
-  std::size_t content_hash() const {
-    std::size_t h = 0;
-    core::TupleHash th;
-    for (const auto& [t, w] : data_) {
-      // XOR of per-entry hashes keeps the result order-independent.
-      h ^= core::hash_all(th(t), static_cast<std::size_t>(w));
-    }
-    return h;
-  }
-
   friend bool operator==(const ZSet& a, const ZSet& b) { return a.data_ == b.data_; }
 
   /// Sorted materialization is occasionally handy for tests and debugging.

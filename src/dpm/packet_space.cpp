@@ -1,6 +1,7 @@
 #include "dpm/packet_space.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace rcfg::dpm {
@@ -9,8 +10,11 @@ namespace {
 
 PacketSpaceBackend* pick_active(BackendKind kind, IntervalAtomBackend& interval,
                                 BddSetBackend& bdd) {
-  // kAuto and kInterval both start fast on interval atoms and migrate on
-  // demand (see backend.h); kBdd pins the historical path.
+  // kAuto starts fast on interval atoms and migrates on demand (see
+  // backend.h); kBdd pins the historical path.
+  if (kind == BackendKind::kInterval) {
+    throw std::invalid_argument("PacketSpace: request kAuto or kBdd, not kInterval");
+  }
   return kind == BackendKind::kBdd ? static_cast<PacketSpaceBackend*>(&bdd)
                                    : static_cast<PacketSpaceBackend*>(&interval);
 }
@@ -21,8 +25,7 @@ PacketSpace::PacketSpace(BackendKind kind)
     : bdd_(kPacketVars),
       interval_(kPacketVars),
       bdd_backend_(&bdd_),
-      active_(pick_active(kind, interval_, bdd_backend_)),
-      requested_(kind) {}
+      active_(pick_active(kind, interval_, bdd_backend_)) {}
 
 PacketSpace::PacketSpace(const PacketSpace& other)
     : bdd_(other.bdd_),
@@ -31,7 +34,6 @@ PacketSpace::PacketSpace(const PacketSpace& other)
       active_(other.active_backend() == BackendKind::kBdd
                   ? static_cast<PacketSpaceBackend*>(&bdd_backend_)
                   : static_cast<PacketSpaceBackend*>(&interval_)),
-      requested_(other.requested_),
       migrated_(other.migrated_),
       interval_to_bdd_(other.interval_to_bdd_) {
   // migration_listeners_ deliberately left empty — see the header.
@@ -45,7 +47,6 @@ PacketSpace& PacketSpace::operator=(const PacketSpace& other) {
   active_ = other.active_backend() == BackendKind::kBdd
                 ? static_cast<PacketSpaceBackend*>(&bdd_backend_)
                 : static_cast<PacketSpaceBackend*>(&interval_);
-  requested_ = other.requested_;
   migrated_ = other.migrated_;
   interval_to_bdd_ = other.interval_to_bdd_;
   // Own migration_listeners_ kept: a restore rewinds set state, not the

@@ -46,10 +46,12 @@ inline constexpr unsigned kPacketVars = 98;
 
 /// Owns the packet-set backends, the field encoders, and the migration
 /// machinery. The default is the all-BDD backend so existing call sites
-/// (and anything poking bdd() directly) behave exactly as before; kInterval
-/// and kAuto start on interval atoms and migrate to BDDs on demand.
+/// (and anything poking bdd() directly) behave exactly as before; kAuto
+/// starts on interval atoms and migrates to BDDs on demand.
 class PacketSpace {
  public:
+  /// `kind` is kBdd or kAuto; kInterval is not a request (see backend.h)
+  /// and throws std::invalid_argument.
   explicit PacketSpace(BackendKind kind = BackendKind::kBdd);
 
   /// Copies carry full set state (both arenas, the active-backend choice,
@@ -66,8 +68,6 @@ class PacketSpace {
   IntervalAtomBackend& interval() noexcept { return interval_; }
   const IntervalAtomBackend& interval() const noexcept { return interval_; }
 
-  /// The backend requested at construction (never changes).
-  BackendKind requested_backend() const noexcept { return requested_; }
   /// The backend currently executing operations (kInterval until the first
   /// multi-field predicate, kBdd after — or always kBdd in kBdd mode).
   BackendKind active_backend() const noexcept { return active_->kind(); }
@@ -162,7 +162,6 @@ class PacketSpace {
   IntervalAtomBackend interval_;
   BddSetBackend bdd_backend_;
   PacketSpaceBackend* active_;
-  BackendKind requested_;
   bool migrated_ = false;
   /// interval handle -> pinned BDD translation (see canonical()).
   std::unordered_map<BddRef, BddRef> interval_to_bdd_;

@@ -40,10 +40,21 @@ Verb parse_verb(const std::string& op) {
   throw ProtocolError("unknown op: '" + op + "'");
 }
 
-unsigned get_unsigned(const json::Value& obj, std::string_view key, unsigned fallback = 0) {
-  const std::int64_t v = obj.get_int(key, fallback);
+/// A non-negative integer field, range-checked before any narrowing so an
+/// out-of-range value is refused instead of wrapping.
+std::uint64_t get_count(const json::Value& obj, std::string_view key, std::uint64_t max,
+                        std::uint64_t fallback = 0) {
+  const std::int64_t v = obj.get_int(key, static_cast<std::int64_t>(fallback));
   if (v < 0) throw ProtocolError("'" + std::string(key) + "' must be >= 0");
-  return static_cast<unsigned>(v);
+  if (static_cast<std::uint64_t>(v) > max) {
+    throw ProtocolError("'" + std::string(key) + "' must be <= " + std::to_string(max));
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
+unsigned get_unsigned(const json::Value& obj, std::string_view key, unsigned fallback = 0,
+                      unsigned max = std::numeric_limits<unsigned>::max()) {
+  return static_cast<unsigned>(get_count(obj, key, max, fallback));
 }
 
 TopologySpec parse_topology(const json::Value& v) {
@@ -90,23 +101,16 @@ PolicySpec parse_policy(const json::Value& v) {
 
 SessionOptions parse_options(const json::Value& doc) {
   SessionOptions opts;
-  const unsigned rounds = get_unsigned(doc, "max_rounds");
+  const unsigned rounds = get_unsigned(doc, "max_rounds", 0, kMaxRounds);
   if (rounds != 0) opts.verifier.generator.max_rounds = rounds;
-  const unsigned threads = get_unsigned(doc, "threads");
+  const unsigned threads = get_unsigned(doc, "threads", 0, kMaxThreads);
   if (threads != 0) opts.verifier.threads = threads;
-  opts.flush_budget = static_cast<std::uint64_t>(doc.get_int("flush_budget", 0));
-  opts.recurrence_threshold =
-      static_cast<std::uint64_t>(doc.get_int("recurrence_threshold", 0));
   opts.trace = doc.get_bool("trace", false);
-  opts.replicas = get_unsigned(doc, "replicas");
-  if (opts.replicas > kMaxReplicas) {
-    throw ProtocolError("'replicas' must be <= " + std::to_string(kMaxReplicas));
-  }
+  opts.replicas = get_unsigned(doc, "replicas", 0, kMaxReplicas);
   opts.verifier.reclamation.enabled = doc.get_bool("reclaim", false);
-  opts.verifier.reclamation.ec_watermark =
-      static_cast<std::size_t>(doc.get_int("ec_watermark", 0));
-  opts.verifier.reclamation.bdd_watermark =
-      static_cast<std::size_t>(doc.get_int("bdd_watermark", 0));
+  constexpr std::uint64_t kNoMax = std::numeric_limits<std::int64_t>::max();
+  opts.verifier.reclamation.ec_watermark = get_count(doc, "ec_watermark", kNoMax);
+  opts.verifier.reclamation.bdd_watermark = get_count(doc, "bdd_watermark", kNoMax);
   const std::string order = doc.get_string("update_order");
   if (order == "insert_first" || order.empty()) {
     opts.verifier.update_order = dpm::UpdateOrder::kInsertFirst;
@@ -122,7 +126,7 @@ SessionOptions parse_options(const json::Value& doc) {
     const auto kind = dpm::backend_kind_of(backend);
     if (!kind) {
       throw ProtocolError("unknown packet_space: '" + backend +
-                          "' (expected auto | bdd | interval)");
+                          "' (expected auto | bdd)");
     }
     opts.verifier.packet_space = *kind;
   }
@@ -286,10 +290,10 @@ Request parse_request_doc(const json::Value& doc) {
       if (req.sweep.max_failures < 1 || req.sweep.max_failures > kMaxSweepFailures) {
         throw ProtocolError("'max_failures' must be between 1 and 6");
       }
-      req.sweep.budget = get_unsigned(doc, "budget", 0);
+      req.sweep.budget = get_unsigned(doc, "budget");
       req.sweep.prune = doc.get_bool("prune", false);
       req.sweep.symmetry = doc.get_bool("symmetry", false);
-      req.sweep.threads = get_unsigned(doc, "threads", 1);
+      req.sweep.threads = get_unsigned(doc, "threads", 1, kMaxThreads);
       if (req.sweep.threads == 0) req.sweep.threads = 1;
       req.sweep.detail = doc.get_bool("detail", false);
       break;

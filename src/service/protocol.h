@@ -7,16 +7,14 @@
 //   open        {"session", "topology":{"kind","k"|"n"|"w","h"}, "config",
 //                [options...]} — the COMPLETE option set, in one place:
 //                 "max_rounds":N            control-plane convergence cap
+//                                           (<= 1024)
 //                 "update_order":"insert_first"|"delete_first"|"interleaved"
 //                                           batch rule-update order (Table 3;
 //                                           default insert_first)
-//                 "flush_budget":N          generator divergence detector:
-//                                           operator-flush budget (0 = default)
-//                 "recurrence_threshold":N  generator divergence detector:
-//                                           recurring-state threshold
 //                 "threads":N               checker worker-pool width
-//                                           (default 1); reports are identical
-//                                           for any value — only latency moves
+//                                           (default 1, <= 64); reports are
+//                                           identical for any value — only
+//                                           latency moves
 //                 "trace":true              record per-batch provenance for
 //                                           `explain` (pay-as-you-go: without
 //                                           it, batches record nothing)
@@ -28,6 +26,10 @@
 //                                           partition exceeds N atoms (0 = eager)
 //                 "bdd_watermark":N         defer BDD GC until the manager
 //                                           exceeds N live nodes (0 = eager)
+//                 "packet_space":"auto"|"bdd"  EC representation (default
+//                                           auto: interval atoms, migrating
+//                                           to BDDs on the first multi-field
+//                                           predicate)
 //                 "replicas":N              read replicas forked off the
 //                                           session (<= 16). query/explain/
 //                                           relate fan out round-robin across
@@ -63,8 +65,8 @@
 //               orbits and replays the representative's outcome; "budget"
 //               caps the scenarios verified on replicas, spending them in
 //               priority order (coverage reports the shortfall); "threads"
-//               shards scenarios over that many replicas; "detail" includes
-//               the per-scenario outcome array.
+//               shards scenarios over that many replicas (<= 64); "detail"
+//               includes the per-scenario outcome array.
 //   relate      {"session", "config", ["specs":[{"kind":"none"|
 //                "only_dst_in"|"only_src_in", ["prefixes":[CIDR,...]],
 //                ["name"]}]], ["witnesses":true], ["detail":true]}
@@ -87,6 +89,9 @@
 //               "max_blocking", default 2) whose exclusion unblocks the
 //               rest. "detail" adds per-step verdict records.
 //   stats       {}                             waits for in-flight requests
+//
+// Integer fields are range-checked before use: negative values, values
+// above 2^32-1 and values above a field's stated cap are refused.
 //
 // Responses echo the id: {"id":N,"ok":true,...} or
 // {"id":N,"ok":false,"error":"..."}. A propose superseded by coalescing
@@ -175,6 +180,12 @@ struct OrderSpec {
 
 /// Upper bound on per-session read replicas (open's "replicas" option).
 inline constexpr unsigned kMaxReplicas = 16;
+/// Upper bound on open's checker "threads" and on sweep's "threads" (a
+/// sweep forks one full replica per thread).
+inline constexpr unsigned kMaxThreads = 64;
+/// Upper bound on open's "max_rounds"; the routing program builds about
+/// four operators per round.
+inline constexpr unsigned kMaxRounds = 1024;
 
 struct Request {
   std::uint64_t id = 0;

@@ -23,12 +23,7 @@ Session::Session(std::string name, topo::Topology topology, config::NetworkConfi
 }
 
 std::unique_ptr<verify::RealConfig> Session::make_verifier_() const {
-  auto rc = std::make_unique<verify::RealConfig>(*topo_, options_.verifier);
-  if (options_.flush_budget != 0) rc->generator().set_flush_budget(options_.flush_budget);
-  if (options_.recurrence_threshold != 0) {
-    rc->generator().set_recurrence_threshold(options_.recurrence_threshold);
-  }
-  return rc;
+  return std::make_unique<verify::RealConfig>(*topo_, options_.verifier);
 }
 
 verify::PolicyId Session::register_on_verifier_(const PolicySpec& spec) {

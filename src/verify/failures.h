@@ -46,8 +46,8 @@ struct FailureScenario {
 struct ScenarioOutcome {
   FailureScenario scenario;
   /// The control plane has no stable state under this failure (the apply
-  /// threw NonterminationError/RecurringStateError). No verdicts exist for
-  /// the scenario; every other field below is left at its default.
+  /// threw NonterminationError). No verdicts exist for the scenario; every
+  /// other field below is left at its default.
   bool diverged = false;
   std::size_t reachable_pairs = 0;  ///< pairs reachable under the scenario
   std::size_t pairs_lost = 0;       ///< healthy pairs unreachable here

@@ -40,10 +40,8 @@ struct RealConfigOptions {
   /// on the interval-atom backend (an order of magnitude faster on the
   /// prefix-only churn that dominates real workloads) and migrates to BDDs
   /// once on the first multi-field predicate; kBdd pins the historical
-  /// all-BDD path; kInterval behaves like kAuto today (documented intent:
-  /// "I expect prefix-only"). EC ids, verdicts, and witnesses are
-  /// bit-identical across all three — the differential fuzz harness holds
-  /// the backends to that.
+  /// all-BDD path. EC ids, verdicts, and witnesses are bit-identical across
+  /// both — the differential fuzz harness holds the backends to that.
   dpm::BackendKind packet_space = dpm::BackendKind::kAuto;
   /// Checker worker-pool width (stage 3 shards the affected-EC set).
   /// 1 (the default) is the historical single-threaded path; any value
@@ -75,12 +73,12 @@ class RealConfig {
  public:
   explicit RealConfig(const topo::Topology& topo, RealConfigOptions options = {});
 
-  /// One verification round. Throws dd::NonterminationError (possibly the
-  /// RecurringStateError subclass) when the control plane cannot converge
-  /// (paper §6); the instance is then *poisoned* — its internal state is
-  /// partially updated and unusable — and must be discarded (or wrapped in
-  /// service::Session, which rebuilds automatically). Calling apply() again
-  /// on a poisoned instance throws std::logic_error.
+  /// One verification round. Throws dd::NonterminationError when the
+  /// control plane cannot converge (paper §6); the instance is then
+  /// *poisoned* — its internal state is partially updated and unusable —
+  /// and must be discarded (or wrapped in service::Session, which rebuilds
+  /// automatically). Calling apply() again on a poisoned instance throws
+  /// std::logic_error.
   struct Report {
     routing::DataPlaneDelta dataplane;
     dpm::ModelDelta model;
@@ -147,14 +145,13 @@ class RealConfig {
   /// of every mutable structure (BDD manager included), so replicas are
   /// safe to drive from different threads concurrently. Replicas are built
   /// single-threaded (threads = 1) to keep nested worker pools out of
-  /// sharded sweeps; generator tuning (flush budget, recurrence threshold)
-  /// is inherited from this instance.
+  /// sharded sweeps.
   std::unique_ptr<RealConfig> fork(const Snapshot& snap) const;
 
   /// fork() with caller-chosen options — for replicas that must deviate
   /// from the parent's tuning (the relational checker disables reclamation
-  /// so fork EC ids stay relatable to base ids). Generator tuning is still
-  /// inherited; the topology contract is unchanged.
+  /// so fork EC ids stay relatable to base ids). The topology contract is
+  /// unchanged.
   std::unique_ptr<RealConfig> fork(const Snapshot& snap, RealConfigOptions opts) const;
 
   // --- policy helpers (by device name; packets default to "everything") --

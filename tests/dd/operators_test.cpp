@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "core/rng.h"
 
@@ -47,10 +49,16 @@ TEST(Input, InsertRemoveCancelBeforeCommit) {
 }
 
 TEST(MapFilter, TransformAndDrop) {
+  // A filter is a Reduce over (tuple, unit) that emits the key only when
+  // the predicate holds.
   Graph g;
   auto& in = g.make<Input<int>>();
-  auto& doubled = g.make<Map<int, int>>(in.out, [](const int& x) { return 2 * x; });
-  auto& evens = g.make<Filter<int>>(doubled.out, [](const int& x) { return x % 4 == 0; });
+  auto& doubled = g.make<Map<int, std::pair<int, int>>>(
+      in.out, [](const int& x) { return std::pair<int, int>{2 * x, 0}; });
+  auto& evens = g.make<Reduce<int, int, int>>(
+      doubled.out, [](const int& x, GroupView<int>, std::vector<int>& out) {
+        if (x % 4 == 0) out.push_back(x);
+      });
   auto& out = g.make<Output<int>>(evens.out);
 
   for (int i = 1; i <= 4; ++i) in.insert(i);
@@ -79,15 +87,21 @@ TEST(Map, CollisionsAccumulateWeight) {
 using KV = std::pair<int, std::string>;
 using KW = std::pair<int, int>;
 
+/// A (key, value) relation arranged by key, joined with a second keyed
+/// relation; the closure sees both whole tuples.
+template <class A, class Fn>
+auto& keyed_join(Graph& g, Input<A>& left, Input<KW>& right, Fn fn) {
+  auto& by_key = g.make<Arrange<int, KW>>(right.out, [](const KW& kw) { return kw.first; });
+  return join_arranged(g, left.out, by_key, [](const A& a) { return a.first; }, std::move(fn));
+}
+
 TEST(Join, MatchesOnKey) {
   Graph g;
   auto& left = g.make<Input<KV>>();
   auto& right = g.make<Input<KW>>();
-  auto& j = g.make<Join<int, std::string, int, std::string>>(
-      left.out, right.out,
-      [](const int& k, const std::string& a, const int& b) {
-        return a + ":" + std::to_string(k * b);
-      });
+  auto& j = keyed_join(g, left, right, [](const KV& a, const KW& b) {
+    return std::optional<std::string>(a.second + ":" + std::to_string(a.first * b.second));
+  });
   auto& out = g.make<Output<std::string>>(j.out);
 
   left.insert({1, "a"});
@@ -111,8 +125,9 @@ TEST(Join, SimultaneousDeltasBothSides) {
   Graph g;
   auto& left = g.make<Input<KW>>();
   auto& right = g.make<Input<KW>>();
-  auto& j = g.make<Join<int, int, int, int>>(
-      left.out, right.out, [](const int&, const int& a, const int& b) { return a + b; });
+  auto& j = keyed_join(g, left, right, [](const KW& a, const KW& b) {
+    return std::optional<int>(a.second + b.second);
+  });
   auto& out = g.make<Output<int>>(j.out);
 
   // Insert matching tuples on both sides in the same commit: the bilinear
@@ -133,8 +148,9 @@ TEST(Join, WeightsMultiply) {
   Graph g;
   auto& left = g.make<Input<KW>>();
   auto& right = g.make<Input<KW>>();
-  auto& j = g.make<Join<int, int, int, int>>(
-      left.out, right.out, [](const int&, const int& a, const int& b) { return a * 100 + b; });
+  auto& j = keyed_join(g, left, right, [](const KW& a, const KW& b) {
+    return std::optional<int>(a.second * 100 + b.second);
+  });
   auto& out = g.make<Output<int>>(j.out);
 
   left.update({1, 5}, 2);
@@ -197,20 +213,27 @@ TEST(Reduce, UntouchedGroupsNotRecomputed) {
 }
 
 TEST(Distinct, SignSemantics) {
+  // A distinct is a Reduce over (tuple, unit) that emits the key once while
+  // any weight is positive.
   Graph g;
-  auto& in = g.make<Input<int>>();
-  auto& d = g.make<Distinct<int>>(in.out);
+  auto& in = g.make<Input<KW>>();
+  auto& d = g.make<Reduce<int, int, int>>(
+      in.out, [](const int& k, GroupView<int> group, std::vector<int>& out) {
+        if (std::ranges::any_of(group, [](const auto& e) { return e.second > 0; })) {
+          out.push_back(k);
+        }
+      });
   auto& out = g.make<Output<int>>(d.out);
 
-  in.update(1, 3);  // three derivations
+  in.update({1, 0}, 3);  // three derivations
   g.commit();
   EXPECT_EQ(out.current().weight(1), 1);
 
-  in.update(1, -2);  // still one derivation left
+  in.update({1, 0}, -2);  // still one derivation left
   g.commit();
   EXPECT_EQ(out.current().weight(1), 1);
 
-  in.update(1, -1);  // last derivation gone
+  in.update({1, 0}, -1);  // last derivation gone
   g.commit();
   EXPECT_EQ(out.current().weight(1), 0);
 }
@@ -266,15 +289,17 @@ TEST(PipelineProperty, IncrementalEqualsFromScratch) {
 
   auto build = [](Graph& g, Input<KW>*& in, Output<KW>*& out) {
     in = &g.make<Input<KW>>();
-    auto& filtered =
-        g.make<Filter<KW>>(in->out, [](const KW& kv) { return kv.second % 3 != 0; });
-    auto& keyed = g.make<Map<KW, KW>>(filtered.out,
+    auto& keyed = g.make<Map<KW, KW>>(in->out,
                                       [](const KW& kv) { return KW{kv.first % 5, kv.second}; });
+    // Min over the group's values that are not multiples of 3; a group
+    // holding only multiples of 3 emits nothing.
     auto& reduced = g.make<Reduce<int, int, KW>>(
         keyed.out, [](const int& k, GroupView<int> group, std::vector<KW>& o) {
           int best = INT32_MAX;
-          for (const auto& [v, w] : group) best = std::min(best, v);
-          o.push_back({k, best});
+          for (const auto& [v, w] : group) {
+            if (v % 3 != 0) best = std::min(best, v);
+          }
+          if (best != INT32_MAX) o.push_back({k, best});
         });
     out = &g.make<Output<KW>>(reduced.out);
   };

@@ -3,13 +3,15 @@
 // strictly-growing bounded measure (here: a loop-free path), exactly like
 // the route tuples in rcfg::routing. Under that contract, insertions AND
 // deletions converge to the unique fixpoint. The tests also exercise the
-// divergence detectors on a deliberately oscillating program (paper §6).
+// flush cap on a deliberately oscillating program (paper §6).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <queue>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
@@ -38,34 +40,33 @@ struct ReachProgram {
                                             [](const int& s) { return Path{s}; }, "seed");
     paths.add_input(seed.out);
 
-    // Key paths by their last node, join with edges keyed by tail.
-    auto& keyed_paths = graph.make<Map<Path, std::pair<int, Path>>>(
-        paths.out, [](const Path& p) { return std::pair<int, Path>{p.back(), p}; },
-        "key_paths");
-    auto& keyed_edges = graph.make<Map<Edge, std::pair<int, int>>>(
-        edges->out, [](const Edge& e) { return std::pair<int, int>{e.first, e.second}; },
-        "key_edges");
-    auto& extended = graph.make<Join<int, Path, int, Path>>(
-        keyed_paths.out, keyed_edges.out,
-        [](const int&, const Path& p, const int& to) {
+    // Extend each path by the edges leaving its last node. The loop check
+    // rejects any extension that revisits a node: this is what makes the
+    // recursion well-founded and deletion-safe.
+    auto& by_tail = graph.make<Arrange<int, Edge>>(
+        edges->out, [](const Edge& e) { return e.first; }, "edges_by_tail");
+    auto& extended = join_arranged(
+        graph, paths.out, by_tail, [](const Path& p) { return p.back(); },
+        [](const Path& p, const Edge& e) -> std::optional<Path> {
+          if (std::find(p.begin(), p.end(), e.second) != p.end()) return std::nullopt;
           Path q = p;
-          q.push_back(to);
+          q.push_back(e.second);
           return q;
         },
         "extend");
-    // Loop check: drop any path that revisits a node. This is what makes
-    // the recursion well-founded and deletion-safe.
-    auto& loop_free = graph.make<Filter<Path>>(
-        extended.out,
-        [](const Path& p) {
-          return std::find(p.begin(), p.end() - 1, p.back()) == p.end() - 1;
-        },
-        "loop_check");
-    paths.add_input(loop_free.out);
+    paths.add_input(extended.out);
 
-    auto& heads = graph.make<Map<Path, int>>(
-        paths.out, [](const Path& p) { return p.back(); }, "heads");
-    auto& nodes = graph.make<Distinct<int>>(heads.out, "distinct_nodes");
+    // Distinct heads: one output per node while any path ends there.
+    auto& heads = graph.make<Map<Path, std::pair<int, int>>>(
+        paths.out, [](const Path& p) { return std::pair<int, int>{p.back(), 0}; }, "heads");
+    auto& nodes = graph.make<Reduce<int, int, int>>(
+        heads.out,
+        [](const int& node, GroupView<int> group, std::vector<int>& out) {
+          if (std::ranges::any_of(group, [](const auto& e) { return e.second > 0; })) {
+            out.push_back(node);
+          }
+        },
+        "distinct_nodes");
     reachable = &graph.make<Output<int>>(nodes.out, "reachable");
   }
 };
@@ -222,27 +223,24 @@ struct OscillatorProgram {
   }
 };
 
-TEST(Divergence, FlushBudgetExceededThrows) {
+TEST(Divergence, FlushCapThrowsNamingHotOperator) {
   OscillatorProgram p;
-  p.graph.set_flush_budget(10'000);
-  p.graph.set_recurrence_threshold(0);  // force the plain budget path
   p.seed->insert({0, 0});
-  EXPECT_THROW(p.graph.commit(), NonterminationError);
-}
-
-TEST(Divergence, RecurringStateDetectedEarly) {
-  OscillatorProgram p;
-  p.graph.set_flush_budget(1'000'000);
-  p.graph.set_recurrence_threshold(50);
-  p.seed->insert({0, 0});
-  EXPECT_THROW(p.graph.commit(), RecurringStateError);
-  // The heuristic must fire orders of magnitude before the budget.
-  EXPECT_LT(p.graph.last_commit_flushes(), 1'000'000u);
+  try {
+    p.graph.commit();
+    FAIL() << "oscillating commit returned";
+  } catch (const NonterminationError& e) {
+    // The feedback loop is hub -> flip -> hub; hub flushes first each lap,
+    // so it is the operator that crosses the cap.
+    EXPECT_NE(std::string(e.what()).find("'hub'"), std::string::npos) << e.what();
+  }
+  EXPECT_GT(p.graph.last_commit_flushes(), Graph::kMaxOperatorFlushes);
+  EXPECT_LE(p.graph.last_commit_flushes(),
+            Graph::kMaxOperatorFlushes * p.graph.operator_count());
 }
 
 TEST(Divergence, ConvergentProgramUnaffectedByDetectors) {
   ReachProgram p;
-  p.graph.set_recurrence_threshold(1);  // hyper-sensitive
   p.sources->insert(0);
   for (int i = 0; i < 6; ++i) p.edges->insert({i, i + 1});
   EXPECT_NO_THROW(p.graph.commit());

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -21,9 +22,9 @@ namespace {
 
 using Entry = std::pair<int, int>;  // (key, value)
 
-/// A little program with every stateful operator kind: Input, Join,
-/// Reduce (via feedback), Distinct, Output. keys() reads the distinct
-/// joined keys currently derivable.
+/// A little program with every stateful operator kind: Input, Arrange,
+/// JoinArranged, Reduce, Output. keys() reads the distinct joined keys
+/// currently derivable.
 struct JoinProgram {
   Graph graph;
   Input<Entry>* left = nullptr;
@@ -33,10 +34,21 @@ struct JoinProgram {
   JoinProgram() {
     left = &graph.make<Input<Entry>>("left");
     right = &graph.make<Input<Entry>>("right");
-    auto& joined = graph.make<Join<int, int, int, int>>(
-        left->out, right->out,
-        [](const int& k, const int&, const int&) { return k; }, "join");
-    auto& distinct = graph.make<Distinct<int>>(joined.out, "distinct");
+    auto& right_by_key = graph.make<Arrange<int, Entry>>(
+        right->out, [](const Entry& e) { return e.first; }, "right_by_key");
+    auto& joined = join_arranged(
+        graph, left->out, right_by_key, [](const Entry& e) { return e.first; },
+        [](const Entry& a, const Entry&) { return std::optional<Entry>(Entry{a.first, 0}); },
+        "join");
+    // Distinct keys: one output per key while any joined pair carries it.
+    auto& distinct = graph.make<Reduce<int, int, int>>(
+        joined.out,
+        [](const int& k, GroupView<int> group, std::vector<int>& out) {
+          if (std::ranges::any_of(group, [](const auto& e) { return e.second > 0; })) {
+            out.push_back(k);
+          }
+        },
+        "distinct");
     keys = &graph.make<Output<int>>(distinct.out, "keys");
   }
 
@@ -151,8 +163,6 @@ TEST(GraphSnapshot, RestoreRejectsMismatchedGraph) {
 
 TEST(GraphSnapshot, RestoreRecoversFromDivergence) {
   MixedOscillator p;
-  p.graph.set_flush_budget(1'000'000);
-  p.graph.set_recurrence_threshold(50);
 
   p.seed->insert({5, 0});
   p.graph.commit();

@@ -73,19 +73,6 @@ TEST(ZSet, IsSetLike) {
   EXPECT_FALSE(z.is_set_like());
 }
 
-TEST(ZSet, ContentHashOrderIndependent) {
-  ZSet<int> a, b;
-  a.add(1, 1);
-  a.add(2, 2);
-  b.add(2, 2);
-  b.add(1, 1);
-  EXPECT_EQ(a.content_hash(), b.content_hash());
-
-  b.add(3, 1);
-  EXPECT_NE(a.content_hash(), b.content_hash());
-  EXPECT_EQ(ZSet<int>{}.content_hash(), 0u);
-}
-
 TEST(ZSet, WorksWithPairsAndVectors) {
   ZSet<std::pair<int, std::string>> zp;
   zp.add({1, "a"}, 1);

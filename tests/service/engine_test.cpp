@@ -197,9 +197,7 @@ TEST(Engine, NonterminatingProposeRecoversViaSession) {
   const config::NetworkConfig good = config::build_bgp_network(t);
 
   Engine engine;
-  Request open = open_request(1, "net", "full_mesh", 4, good);
-  open.options = testutil::fast_divergence_options();
-  ASSERT_TRUE(engine.call(std::move(open)).ok);
+  ASSERT_TRUE(engine.call(open_request(1, "net", "full_mesh", 4, good)).ok);
 
   const Response r =
       engine.call(propose_request(2, "net", testutil::bad_gadget(t)));
@@ -511,9 +509,7 @@ TEST(Engine, SweepVerbSurvivesDivergentScenarios) {
   config::set_local_pref(cfg, "m1", "to-m0", 300);
 
   Engine engine;
-  Request open = open_request(1, "net", "full_mesh", 4, cfg);
-  open.options = testutil::fast_divergence_options();
-  ASSERT_TRUE(engine.call(std::move(open)).ok);
+  ASSERT_TRUE(engine.call(open_request(1, "net", "full_mesh", 4, cfg)).ok);
 
   Request sweep = verb_request(2, "net", Verb::kSweep);
   sweep.sweep.threads = 2;
@@ -538,9 +534,7 @@ TEST(Engine, SweepVerbSurvivesDivergentScenarios) {
   config::set_local_pref(c5, "m3", "to-m1", 200);
   config::set_local_pref(c5, "m1", "to-m0", 300);
   config::set_local_pref(c5, "m1", "to-m4", 250);
-  Request open5 = open_request(3, "net5", "full_mesh", 5, c5);
-  open5.options = testutil::fast_divergence_options();
-  ASSERT_TRUE(engine.call(std::move(open5)).ok);
+  ASSERT_TRUE(engine.call(open_request(3, "net5", "full_mesh", 5, c5)).ok);
 
   Request pairs = verb_request(4, "net5", Verb::kSweep);
   pairs.sweep.max_failures = 2;

@@ -111,13 +111,57 @@ TEST(Protocol, RejectsBadSweepRequests) {
   EXPECT_EQ(r.sweep.links, (std::vector<topo::LinkId>{4294967295u}));
 }
 
+TEST(Protocol, RejectsOutOfRangeNumbers) {
+  const auto open_with = [](const std::string& extra) {
+    return parse_request(
+        R"({"id":1,"op":"open","session":"s","topology":{"kind":"ring","n":4},)"
+        R"("config":"hostname r0",)" +
+        extra + "}");
+  };
+  const auto sweep_with = [](const std::string& extra) {
+    return parse_request(R"({"id":1,"op":"sweep","session":"s",)" + extra + "}");
+  };
+  // Values above 2^32-1 must not wrap: 2^32+1 threads is not 1 thread, and
+  // 2^32+2 rounds is not 2 rounds.
+  EXPECT_THROW(open_with(R"("threads":4294967297)"), ProtocolError);
+  EXPECT_THROW(open_with(R"("max_rounds":4294967298)"), ProtocolError);
+  EXPECT_THROW(open_with(R"("replicas":4294967297)"), ProtocolError);
+  EXPECT_THROW(sweep_with(R"("threads":4294967297)"), ProtocolError);
+  EXPECT_THROW(sweep_with(R"("budget":4294967296)"), ProtocolError);
+  EXPECT_THROW(parse_request(R"({"id":1,"op":"open","session":"s","config":"hostname r0",)"
+                             R"("topology":{"kind":"ring","n":4294967300}})"),
+               ProtocolError);
+
+  // Per-field caps, checked at parse time: nothing is built at these values.
+  const std::string threads = std::to_string(kMaxThreads);
+  const std::string rounds = std::to_string(kMaxRounds);
+  EXPECT_EQ(open_with(R"("threads":)" + threads).options.verifier.threads, kMaxThreads);
+  EXPECT_EQ(open_with(R"("max_rounds":)" + rounds).options.verifier.generator.max_rounds,
+            kMaxRounds);
+  EXPECT_EQ(sweep_with(R"("threads":)" + threads).sweep.threads, kMaxThreads);
+  EXPECT_THROW(open_with(R"("threads":)" + std::to_string(kMaxThreads + 1)), ProtocolError);
+  EXPECT_THROW(open_with(R"("max_rounds":)" + std::to_string(kMaxRounds + 1)),
+               ProtocolError);
+  EXPECT_THROW(sweep_with(R"("threads":)" + std::to_string(kMaxThreads + 1)), ProtocolError);
+  EXPECT_THROW(open_with(R"("replicas":)" + std::to_string(kMaxReplicas + 1)),
+               ProtocolError);
+
+  // A negative watermark would become SIZE_MAX and silently disable
+  // reclamation; refuse it instead.
+  EXPECT_THROW(open_with(R"("reclaim":true,"ec_watermark":-1)"), ProtocolError);
+  EXPECT_THROW(open_with(R"("reclaim":true,"bdd_watermark":-1)"), ProtocolError);
+  const Request r = open_with(R"("reclaim":true,"ec_watermark":5000,"bdd_watermark":0)");
+  EXPECT_EQ(r.options.verifier.reclamation.ec_watermark, 5000u);
+  EXPECT_EQ(r.options.verifier.reclamation.bdd_watermark, 0u);
+}
+
 TEST(Protocol, ParsesRelateRequests) {
   Request r = parse_request(
       R"({"id":10,"op":"relate","session":"s","config":"hostname r0",)"
       R"("specs":[{"kind":"only_dst_in","prefixes":["10.0.2.0/24","10.0.3.0/24"],)"
       R"("name":"quarantine"},{"kind":"none"}],"witnesses":false,"detail":true})");
   EXPECT_EQ(r.verb, Verb::kRelate);
-  EXPECT_EQ(verb_name(r.verb), "relate");
+  EXPECT_STREQ(verb_name(r.verb), "relate");
   EXPECT_EQ(r.config_text, "hostname r0");
   ASSERT_EQ(r.relate.specs.size(), 2u);
   EXPECT_EQ(r.relate.specs[0].kind, relate::RelationalSpec::Kind::kOnlyDstIn);
@@ -141,7 +185,7 @@ TEST(Protocol, ParsesOrderRequests) {
       R"({"name":"edge","config":"hostname e0"},{"name":"core","config":"hostname c0"}],)"
       R"("max_blocking":3,"detail":true})");
   EXPECT_EQ(r.verb, Verb::kOrder);
-  EXPECT_EQ(verb_name(r.verb), "order");
+  EXPECT_STREQ(verb_name(r.verb), "order");
   ASSERT_EQ(r.order.steps.size(), 2u);
   EXPECT_EQ(r.order.steps[0].name, "edge");
   EXPECT_EQ(r.order.steps[1].config_text, "hostname c0");
@@ -281,9 +325,7 @@ TEST(Protocol, RcfgdTranscriptEndToEnd) {
                           {"op", json::Value("open")},
                           {"session", json::Value("net1")},
                           {"topology", topology},
-                          {"config", json::Value(config::print_network(good))},
-                          {"flush_budget", json::Value(2'000'000)},
-                          {"recurrence_threshold", json::Value(500)}})
+                          {"config", json::Value(config::print_network(good))}})
          << "\n";
   script << request_line({{"id", json::Value(2)},
                           {"op", json::Value("add_policy")},

@@ -121,17 +121,11 @@ topo::LinkId link_between(const topo::Topology& t, const std::string& a,
   throw std::logic_error("no link " + a + "-" + b);
 }
 
-void prime_gadget_verifier(RealConfig& rc, const config::NetworkConfig& healthy) {
-  rc.generator().set_flush_budget(2'000'000);
-  rc.generator().set_recurrence_threshold(500);
-  rc.apply(healthy);
-}
-
 TEST(FailureSweep, DivergentScenarioIsRecordedNotFatal) {
   const topo::Topology t = topo::make_full_mesh(4);
   const config::NetworkConfig healthy = stabilized_gadget(t);
   RealConfig rc(t);
-  prime_gadget_verifier(rc, healthy);
+  rc.apply(healthy);
   const topo::LinkId bad = link_between(t, "m0", "m1");
 
   const FailureSweepResult r = sweep_single_link_failures(rc, healthy);
@@ -190,7 +184,7 @@ TEST(FailureSweep, ForkSweepRecordsDivergenceWithoutTouchingParent) {
   const topo::Topology t = topo::make_full_mesh(4);
   const config::NetworkConfig healthy = stabilized_gadget(t);
   RealConfig rc(t);
-  prime_gadget_verifier(rc, healthy);
+  rc.apply(healthy);
   const topo::LinkId bad = link_between(t, "m0", "m1");
 
   FailureSweepOptions options;
