@@ -15,10 +15,11 @@
 // Nontermination (paper §6): a commit in which any one operator flushes
 // more than Graph::kMaxOperatorFlushes times throws NonterminationError
 // naming that operator. A converging routing commit flushes each operator a
-// handful of times, and the routing program's rounds are unrolled, so its
-// own round check (routing/generator.h) diagnoses oscillation after a
-// finished commit; the cap is the backstop for feedback cycles that never
-// quiesce (e.g. mutual redistribution).
+// handful of times, and the routing program evaluates its rounds inside one
+// RoundFixpoint per protocol, whose count of keys still changing at the last
+// round (routing/generator.h) diagnoses oscillation after a finished
+// commit; the cap is the backstop for feedback cycles that never quiesce
+// (e.g. mutual redistribution).
 
 #include <cstdint>
 #include <functional>

@@ -49,58 +49,30 @@ void bgp_select(const Key&, GroupView<BgpRoute> group, std::vector<BgpRoute>& ou
   if (best != nullptr) out.push_back(*best);
 }
 
-/// One protocol's round-stratified chain plus its plumbing handles.
+/// One protocol's route computation plus its plumbing handles.
 template <class Route>
 struct Chain {
   Concat<Route>* origins = nullptr;          ///< extra origins can be wired in later
+  RoundFixpointBase* fixpoint = nullptr;     ///< its convergence and work counters
   Stream<Route>* best = nullptr;             ///< best_R
-  Stream<Route>* conv_diff = nullptr;        ///< best_R - best_{R-1}
 };
 
-/// Builds: origins -> best_0 -> [extend ⋈ links -> best_r]*R plus the
-/// convergence diff. Each round is two operators: a JoinArranged that
-/// extends best_{r-1} over the links into keyed candidates, and a Reduce
-/// over origins and those candidates. Every round reads the one links
-/// Arrange built here, ahead of the rounds. `extend(route, link)` returns
-/// the propagated route or nullopt; `select` is the protocol's decision.
+/// Builds: origins -> RoundFixpoint over the protocol's links, arranged
+/// once by their `from` node. `extend(route, link)` returns the propagated
+/// route or nullopt; `select` is the protocol's decision.
 template <class Route, class LinkFact, class Select, class Extend>
 Chain<Route> build_chain(Graph& g, const std::string& proto, Stream<LinkFact>& links,
                          unsigned rounds, Select select, Extend extend) {
   Chain<Route> chain;
   chain.origins = &g.make<Concat<Route>>(proto + ".origins");
-
-  auto& origins_keyed = g.make<Map<Route, std::pair<Key, Route>>>(
-      chain.origins->out,
-      [](const Route& r) { return std::pair<Key, Route>{{r.node, r.prefix}, r}; },
-      proto + ".origins_keyed");
   auto& links_by_from = g.make<Arrange<topo::NodeId, LinkFact>>(
       links, [](const LinkFact& f) { return f.from; }, proto + ".links_by_from");
-
-  Reduce<Key, Route, Route>* prev =
-      &g.make<Reduce<Key, Route, Route>>(origins_keyed.out, select, proto + ".best_r0");
-  Reduce<Key, Route, Route>* prev_prev = nullptr;
-  for (unsigned r = 1; r <= rounds; ++r) {
-    const std::string tag = proto + ".r" + std::to_string(r);
-    auto& ext = join_arranged(
-        g, prev->out, links_by_from, [](const Route& rt) { return rt.node; },
-        [extend](const Route& rt, const LinkFact& l) -> std::optional<std::pair<Key, Route>> {
-          std::optional<Route> next = extend(rt, l);
-          if (!next) return std::nullopt;
-          return std::pair<Key, Route>{{next->node, next->prefix}, std::move(*next)};
-        },
-        tag + ".extend");
-    auto& best = g.make<Reduce<Key, Route, Route>>(origins_keyed.out, select, tag + ".best");
-    best.add_input(ext.out);
-    prev_prev = prev;
-    prev = &best;
-  }
-  chain.best = &prev->out;
-
-  auto& neg = g.make<Negate<Route>>(prev_prev->out, proto + ".conv_neg");
-  auto& diff = g.make<Concat<Route>>(proto + ".conv_diff");
-  diff.add_input(prev->out);
-  diff.add_input(neg.out);
-  chain.conv_diff = &diff.out;
+  auto& best = round_fixpoint(
+      g, chain.origins->out, links_by_from, rounds,
+      [](const Route& r) { return Key{r.node, r.prefix}; }, [](const Key& k) { return k.first; },
+      extend, select, proto + ".best");
+  chain.fixpoint = &best;
+  chain.best = &best.out;
   return chain;
 }
 
@@ -221,9 +193,7 @@ void IncrementalGenerator::build_program() {
   ospf_best_out_ = &graph_.make<Output<OspfRoute>>(*ospf.best, "ospf.best_out");
   bgp_best_out_ = &graph_.make<Output<BgpRoute>>(*bgp.best, "bgp.best_out");
   rip_best_out_ = &graph_.make<Output<RipRoute>>(*rip.best, "rip.best_out");
-  ospf_conv_ = &graph_.make<Output<OspfRoute>>(*ospf.conv_diff, "ospf.conv");
-  bgp_conv_ = &graph_.make<Output<BgpRoute>>(*bgp.conv_diff, "bgp.conv");
-  rip_conv_ = &graph_.make<Output<RipRoute>>(*rip.conv_diff, "rip.conv");
+  fixpoints_ = {ospf.fixpoint, bgp.fixpoint, rip.fixpoint};
 
   auto& ospf_by_node = arrange_by_node(graph_, "ospf", *ospf.best);
   auto& bgp_by_node = arrange_by_node(graph_, "bgp", *bgp.best);
@@ -280,6 +250,12 @@ void IncrementalGenerator::build_program() {
     fib.add_input(*cands);
   }
   fib_out_ = &graph_.make<Output<FibEntry>>(fib.out, "fib.out");
+}
+
+std::uint64_t IncrementalGenerator::round_evaluations() const {
+  std::uint64_t n = 0;
+  for (const dd::RoundFixpointBase* f : fixpoints_) n += f->evaluations();
+  return n;
 }
 
 void IncrementalGenerator::set_provenance(bool on) {
@@ -372,12 +348,9 @@ DataPlaneDelta IncrementalGenerator::apply(const config::NetworkConfig& cfg) {
   (void)ospf_best_out_->take_delta();
   (void)bgp_best_out_->take_delta();
   (void)rip_best_out_->take_delta();
-  (void)ospf_conv_->take_delta();
-  (void)bgp_conv_->take_delta();
-  (void)rip_conv_->take_delta();
 
-  if (!ospf_conv_->current().empty() || !bgp_conv_->current().empty() ||
-      !rip_conv_->current().empty()) {
+  if (std::any_of(fixpoints_.begin(), fixpoints_.end(),
+                  [](const dd::RoundFixpointBase* f) { return f->unconverged() != 0; })) {
     throw dd::NonterminationError(
         "route computation did not converge within " + std::to_string(options_.max_rounds) +
         " rounds: either raise GeneratorOptions::max_rounds (long minimal paths) or the "

@@ -15,26 +15,26 @@
 //
 // Round-stratified evaluation. Route propagation is a fixpoint of
 //     best_r = select(origins ∪ extend(best_{r-1}))
-// and the program materializes max_rounds explicit stages of it (the
-// moral equivalent of differential dataflow's per-iteration timestamps).
-// This keeps the dataflow acyclic, so deletions cost work proportional to
-// the truly affected state per round — the naive cyclic formulation instead
-// "path hunts" through exponentially many stale alternative routes when a
-// route is withdrawn. Convergence is checked by comparing the last two
-// stages; a difference means either max_rounds is too small for the
-// network's diameter/metric structure (increase it) or the control plane
-// genuinely oscillates (paper §6) — both reported as NonterminationError.
+// evaluated for r = 0..max_rounds, with the round as a second timestamp
+// (differential dataflow's per-iteration timestamps). This keeps the
+// dataflow acyclic, so deletions cost work proportional to the truly
+// affected state per round — the naive cyclic formulation instead "path
+// hunts" through exponentially many stale alternative routes when a route
+// is withdrawn. Convergence means best_R = best_{R-1}; a difference means
+// either max_rounds is too small for the network's diameter/metric
+// structure (increase it) or the control plane genuinely oscillates (paper
+// §6) — both reported as NonterminationError.
 //
-// Each round is two operators. A dd::JoinArranged arranges best_{r-1} by
-// node, joins it with the protocol's link relation and emits (node,
-// prefix)-keyed candidates, dropping rejected extensions; a multi-input
-// dd::Reduce selects best_r from origins plus those candidates. All rounds
-// read one dd::Arrange of the links, built ahead of them, so it has
-// absorbed a link delta dB before any round flushes; each round applies
-//     d(A ⋈ B) = dA ⋈ B_new + A_old ⋈ dB
-// which stays exact when redistribution feedback flushes a round twice in
-// one commit (dB arrives once; later flushes carry only dA).
+// Each protocol is one dd::RoundFixpoint reading a dd::Arrange of its links.
+// The operator stores, per (node, prefix), only the rounds at which the
+// selection changes, and re-selects a key at round r only when one of its
+// inputs at r changed: its origins, a neighbour's value at r−1, or a link.
+// A converged route therefore costs no work and no state past its
+// convergence round, and the program's size does not depend on max_rounds.
+// The operator counts the keys whose selection still changes at round R,
+// which is the convergence check.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -59,7 +59,7 @@ struct DataPlaneDelta {
 };
 
 struct GeneratorOptions {
-  /// Number of synchronous propagation rounds materialized per protocol.
+  /// Number of synchronous propagation rounds evaluated per protocol.
   /// Must exceed the longest minimal route's hop count (bounded by the
   /// node count; for fat-tree-like fabrics a couple dozen is plenty).
   unsigned max_rounds = 24;
@@ -88,6 +88,10 @@ class IncrementalGenerator {
   /// computation is small" claim made measurable.
   std::uint64_t last_flushes() const { return graph_.last_commit_flushes(); }
   std::size_t operator_count() const { return graph_.operator_count(); }
+  /// (key, round) route selections evaluated since construction, over all
+  /// protocols: the routing work, which stops at each route's convergence
+  /// round and so does not grow with max_rounds.
+  std::uint64_t round_evaluations() const;
   unsigned max_rounds() const { return options_.max_rounds; }
 
   /// Checkpoint of the generator's converged state: every dataflow
@@ -151,10 +155,8 @@ class IncrementalGenerator {
   dd::Output<OspfRoute>* ospf_best_out_ = nullptr;
   dd::Output<BgpRoute>* bgp_best_out_ = nullptr;
   dd::Output<RipRoute>* rip_best_out_ = nullptr;
-  // Convergence sinks: best_R - best_{R-1}; nonempty => not converged.
-  dd::Output<OspfRoute>* ospf_conv_ = nullptr;
-  dd::Output<BgpRoute>* bgp_conv_ = nullptr;
-  dd::Output<RipRoute>* rip_conv_ = nullptr;
+  // Each protocol's fixpoint operator (OSPF, BGP, RIP), for its counters.
+  std::array<const dd::RoundFixpointBase*, 3> fixpoints_{};
 
   // Filter rules are maintained by direct diffing (no simulation needed).
   dd::ZSet<FilterRule> filters_;

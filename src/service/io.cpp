@@ -146,9 +146,11 @@ void run_service(std::istream& in, std::ostream& out, const ServiceOptions& opti
         break;
       }
       if (!got) break;
+      json::Value doc;
       Request req;
       try {
-        req = parse_request_doc(decode_value(payload));
+        doc = decode_value(payload);
+        req = parse_request_doc(doc);
       } catch (const FramingError& e) {
         // The frame boundary held; only the value inside was malformed, so
         // the next frame is still addressable — answer and keep serving.
@@ -157,7 +159,7 @@ void run_service(std::istream& in, std::ostream& out, const ServiceOptions& opti
         continue;
       } catch (const ProtocolError& e) {
         backend.metrics().errors_total.inc();
-        emit(error_response(0, e.what()));
+        emit(refusal(doc, e));
         continue;
       }
       backend.submit(std::move(req), emit);
@@ -179,12 +181,14 @@ void run_service(std::istream& in, std::ostream& out, const ServiceOptions& opti
       continue;
     }
 
+    json::Value doc;
     Request req;
     try {
-      req = parse_request(view);
+      doc = parse_request_json(view);
+      req = parse_request_doc(doc);
     } catch (const ProtocolError& e) {
       backend.metrics().errors_total.inc();
-      emit(error_response(0, e.what()));
+      emit(refusal(doc, e));
       continue;
     }
     backend.submit(std::move(req), emit);

@@ -1,6 +1,8 @@
 #include "service/protocol.h"
 
+#include <algorithm>
 #include <limits>
+#include <span>
 
 #include "topo/generators.h"
 
@@ -38,6 +40,47 @@ Verb parse_verb(const std::string& op) {
   if (op == "order") return Verb::kOrder;
   if (op == "stats") return Verb::kStats;
   throw ProtocolError("unknown op: '" + op + "'");
+}
+
+/// The top-level fields `verb` reads besides "id", "op" and "session".
+std::span<const std::string_view> fields_of(Verb verb) {
+  static constexpr std::string_view kOpen[] = {
+      "topology", "config",       "max_rounds",    "threads",      "trace",       "replicas",
+      "reclaim",  "ec_watermark", "bdd_watermark", "update_order", "packet_space"};
+  static constexpr std::string_view kConfig[] = {"config"};
+  static constexpr std::string_view kPolicy[] = {"policy"};
+  static constexpr std::string_view kQuery[] = {"policy", "primary"};
+  static constexpr std::string_view kSweep[] = {"links",    "max_failures", "budget", "prune",
+                                                "symmetry", "threads",      "detail"};
+  static constexpr std::string_view kRelate[] = {"config", "specs", "witnesses", "detail",
+                                                 "primary"};
+  static constexpr std::string_view kOrder[] = {"steps", "max_blocking", "detail"};
+  switch (verb) {
+    case Verb::kOpen: return kOpen;
+    case Verb::kPropose: return kConfig;
+    case Verb::kAddPolicy: return kPolicy;
+    case Verb::kQuery:
+    case Verb::kExplain: return kQuery;
+    case Verb::kSweep: return kSweep;
+    case Verb::kRelate: return kRelate;
+    case Verb::kOrder: return kOrder;
+    case Verb::kCommit:
+    case Verb::kAbort:
+    case Verb::kStats: return {};
+  }
+  return {};
+}
+
+/// Refuses the first top-level field `verb` does not read.
+void check_fields(const json::Value& doc, Verb verb) {
+  const std::span<const std::string_view> own = fields_of(verb);
+  for (const auto& [name, value] : doc.as_object()) {
+    if (name == "id" || name == "op" || name == "session" ||
+        std::find(own.begin(), own.end(), name) != own.end()) {
+      continue;
+    }
+    throw ProtocolError(std::string(verb_name(verb)) + ": unknown field '" + name + "'", name);
+  }
 }
 
 /// A non-negative integer field, range-checked before any narrowing so an
@@ -225,22 +268,25 @@ topo::Topology build_topology(const TopologySpec& spec) {
                       "' (want fat_tree | ring | full_mesh | grid)");
 }
 
-Request parse_request(std::string_view line) {
-  json::Value doc;
+json::Value parse_request_json(std::string_view line) {
   try {
-    doc = json::Value::parse(line);
+    return json::Value::parse(line);
   } catch (const json::ParseError& e) {
     throw ProtocolError(std::string("invalid JSON: ") + e.what());
   }
-  return parse_request_doc(doc);
 }
 
-Request parse_request_doc(const json::Value& doc) {
+Request parse_request(std::string_view line) { return parse_request_doc(parse_request_json(line)); }
+
+// A field of the wrong JSON type (say "threads":"two") throws json::TypeError
+// from deep inside; the function-try-block turns it into a refusal.
+Request parse_request_doc(const json::Value& doc) try {
   if (!doc.is_object()) throw ProtocolError("request must be a JSON object");
   Request req;
   const std::int64_t id = doc.get_int("id", 0);
   req.id = id < 0 ? 0 : static_cast<std::uint64_t>(id);
   req.verb = parse_verb(doc.get_string("op"));
+  check_fields(doc, req.verb);
   req.session = doc.get_string("session");
 
   if (req.verb != Verb::kStats && req.session.empty()) {
@@ -313,6 +359,8 @@ Request parse_request_doc(const json::Value& doc) {
       break;
   }
   return req;
+} catch (const json::TypeError& e) {
+  throw ProtocolError(std::string("wrong field type: ") + e.what());
 }
 
 Response error_response(std::uint64_t id, std::string message) {
@@ -320,6 +368,16 @@ Response error_response(std::uint64_t id, std::string message) {
   r.id = id;
   r.ok = false;
   r.error = std::move(message);
+  return r;
+}
+
+Response refusal(const json::Value& doc, const ProtocolError& e) {
+  std::uint64_t id = 0;
+  if (const json::Value* v = doc.find("id"); v != nullptr && v->is_int() && v->as_int() > 0) {
+    id = static_cast<std::uint64_t>(v->as_int());
+  }
+  Response r = error_response(id, e.what());
+  if (!e.field().empty()) r.body["field"] = json::Value(e.field());
   return r;
 }
 

@@ -91,10 +91,15 @@
 //   stats       {}                             waits for in-flight requests
 //
 // Integer fields are range-checked before use: negative values, values
-// above 2^32-1 and values above a field's stated cap are refused.
+// above 2^32-1 and values above a field's stated cap are refused. Every verb
+// takes "id", "op" and "session" besides the fields listed above, and
+// refuses any other top-level field, naming it, so a misspelt or retired
+// option fails instead of silently taking its default.
 //
 // Responses echo the id: {"id":N,"ok":true,...} or
-// {"id":N,"ok":false,"error":"..."}. A propose superseded by coalescing
+// {"id":N,"ok":false,"error":"..."}, a refused request included whenever
+// it parsed as JSON with an integer id; a refusal about one field adds
+// "field":NAME. A propose superseded by coalescing
 // answers {"ok":true,"status":"coalesced","superseded_by":M}.
 
 #include <cstdint>
@@ -109,10 +114,17 @@
 
 namespace rcfg::service {
 
-/// Thrown on a malformed or semantically invalid request line.
+/// Thrown on a malformed or semantically invalid request line. `field`
+/// names the top-level field at fault when there is one.
 class ProtocolError : public std::runtime_error {
  public:
-  explicit ProtocolError(const std::string& message) : std::runtime_error(message) {}
+  explicit ProtocolError(const std::string& message, std::string field = "")
+      : std::runtime_error(message), field_(std::move(field)) {}
+
+  const std::string& field() const noexcept { return field_; }
+
+ private:
+  std::string field_;
 };
 
 enum class Verb : std::uint8_t {
@@ -183,8 +195,8 @@ inline constexpr unsigned kMaxReplicas = 16;
 /// Upper bound on open's checker "threads" and on sweep's "threads" (a
 /// sweep forks one full replica per thread).
 inline constexpr unsigned kMaxThreads = 64;
-/// Upper bound on open's "max_rounds"; the routing program builds about
-/// four operators per round.
+/// Upper bound on open's "max_rounds"; the routing fixpoint keeps one
+/// worklist per round.
 inline constexpr unsigned kMaxRounds = 1024;
 
 struct Request {
@@ -203,9 +215,13 @@ struct Request {
 };
 
 /// Parse one request line / document. Throws ProtocolError (including for
-/// invalid JSON, wrapped with the parse position).
+/// invalid JSON, wrapped with the parse position, and for a top-level field
+/// the verb does not read).
 Request parse_request(std::string_view line);
 Request parse_request_doc(const json::Value& doc);
+/// The JSON document of one request line; throws ProtocolError when the
+/// line is not JSON.
+json::Value parse_request_json(std::string_view line);
 
 struct Response {
   std::uint64_t id = 0;
@@ -215,6 +231,11 @@ struct Response {
 };
 
 Response error_response(std::uint64_t id, std::string message);
+
+/// The reply to a request `doc` refused with `e`: it echoes the request's
+/// own non-negative integer "id" (0 when `doc` has none, e.g. it was not
+/// JSON) and carries {"field": name} when `e` names one.
+Response refusal(const json::Value& doc, const ProtocolError& e);
 
 /// The response as one JSON object: {"id":..,"ok":..,<body fields>} with
 /// "error" added when !ok. Both wire framings serialize this value.

@@ -1,6 +1,7 @@
 #include "verify/failures.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <unordered_set>
@@ -219,18 +220,20 @@ FailureSweepResult sweep_failures(RealConfig& rc, const config::NetworkConfig& h
   const auto snap = rc.snapshot();
   result.snapshot_ms = snap_timer.ms();
 
-  // Scenario slots are pre-sized and keyed by index; lanes write disjoint
-  // strides and the merge below walks them in index order, so the report is
-  // bit-identical for every thread count.
+  // Scenario slots are pre-sized and keyed by index; lanes claim scenarios
+  // one at a time, so a lane whose core is busy elsewhere hands its share to
+  // the others instead of holding up the sweep. Every scenario starts from
+  // the same checkpoint and the merge below walks the slots in index order,
+  // so the report is bit-identical for every thread count and schedule.
   std::vector<ScenarioOutcome> outcomes(scens.size());
   std::vector<std::vector<Pair>> scenario_lost(scens.size());
 
   const unsigned threads = std::max(1u, options.threads);
-  core::WorkerPool pool(threads);
-  pool.run(threads, [&](std::size_t lane) {
+  std::atomic<std::size_t> next_scenario{0};
+  rc.lanes(threads).run(threads, [&](std::size_t) {
     auto replica = rc.fork(*snap);
     config::NetworkConfig scenario_cfg = healthy;
-    for (std::size_t i = lane; i < scens.size(); i += threads) {
+    for (std::size_t i = next_scenario++; i < scens.size(); i = next_scenario++) {
       const Timer scenario_timer;
       ScenarioOutcome& out = outcomes[i];
       out.scenario = scens[i];

@@ -138,10 +138,11 @@ struct FailureSweepOptions {
   /// and replay its outcome across the orbit. Bit-identical to exhaustive
   /// sweeps; off by default to keep outcome listings exhaustive.
   bool symmetry = false;
-  /// Worker-pool width. Each worker forks its own full replica from the
-  /// healthy snapshot, so workers share no mutable state; results are
-  /// bit-identical for every value (scenario slots are keyed by index and
-  /// merged in order on the caller).
+  /// Worker-pool width. The workers are `rc.lanes(threads)`, kept across
+  /// sweeps. Each forks its own full replica from the healthy snapshot, so
+  /// workers share no mutable state, and claims scenarios one at a time;
+  /// results are bit-identical for every value (scenario slots are keyed by
+  /// index and merged in order on the caller).
   unsigned threads = 1;
 };
 

@@ -1,5 +1,6 @@
 #include "verify/realconfig.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace rcfg::verify {
@@ -113,6 +114,15 @@ std::unique_ptr<RealConfig> RealConfig::fork(const Snapshot& snap,
   auto replica = std::make_unique<RealConfig>(topo_, opts);
   replica->restore(snap);
   return replica;
+}
+
+core::WorkerPool& RealConfig::lanes(unsigned threads) {
+  threads = std::max(1u, threads);
+  if (lanes_ == nullptr || lanes_->size() != threads) {
+    lanes_.reset();  // join the old lanes before starting new ones
+    lanes_ = std::make_unique<core::WorkerPool>(threads);
+  }
+  return *lanes_;
 }
 
 topo::NodeId RealConfig::node_or_throw(const std::string& name) const {

@@ -24,6 +24,7 @@
 #include <string>
 
 #include "config/types.h"
+#include "core/worker_pool.h"
 #include "dpm/ec.h"
 #include "dpm/model.h"
 #include "dpm/packet_space.h"
@@ -154,6 +155,13 @@ class RealConfig {
   /// unchanged.
   std::unique_ptr<RealConfig> fork(const Snapshot& snap, RealConfigOptions opts) const;
 
+  /// A pool of `threads` lanes for work that fans out over replicas of this
+  /// instance (the failure sweep), kept from one call to the next. Threads
+  /// that already ran wake on their own cores; freshly started ones are
+  /// slow to spread over idle cores, which can make a sweep several times
+  /// slower. Rebuilt when `threads` changes; one caller at a time.
+  core::WorkerPool& lanes(unsigned threads);
+
   // --- policy helpers (by device name; packets default to "everything") --
   PolicyId require_reachable(const std::string& src, const std::string& dst,
                              net::Ipv4Prefix dst_prefix);
@@ -188,6 +196,7 @@ class RealConfig {
   dpm::EcManager ecs_;
   dpm::NetworkModel model_;
   IncrementalChecker checker_;
+  std::unique_ptr<core::WorkerPool> lanes_;  ///< see lanes(); never copied into forks
   bool poisoned_ = false;
 };
 

@@ -336,41 +336,6 @@ TEST(PipelineProperty, IncrementalEqualsFromScratch) {
 }
 
 
-TEST(Negate, FlipsWeights) {
-  Graph g;
-  auto& in = g.make<Input<int>>();
-  auto& neg = g.make<dd::Negate<int>>(in.out);
-  auto& out = g.make<Output<int>>(neg.out);
-  in.update(1, 3);
-  in.update(2, -2);
-  g.commit();
-  EXPECT_EQ(out.current().weight(1), -3);
-  EXPECT_EQ(out.current().weight(2), 2);
-}
-
-TEST(Negate, DifferenceViaConcat) {
-  // concat(a, negate(b)) materializes a - b: empty iff a == b.
-  Graph g;
-  auto& a = g.make<Input<int>>();
-  auto& b = g.make<Input<int>>();
-  auto& neg = g.make<dd::Negate<int>>(b.out);
-  auto& diff = g.make<dd::Concat<int>>();
-  diff.add_input(a.out);
-  diff.add_input(neg.out);
-  auto& out = g.make<Output<int>>(diff.out);
-
-  a.insert(1);
-  a.insert(2);
-  b.insert(1);
-  b.insert(2);
-  g.commit();
-  EXPECT_TRUE(out.current().empty());
-
-  b.insert(3);
-  g.commit();
-  EXPECT_EQ(out.current().weight(3), -1);
-}
-
 TEST(Input, SetToOverridesStagedEdits) {
   Graph g;
   auto& in = g.make<Input<int>>();

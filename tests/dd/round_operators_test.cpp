@@ -1,5 +1,6 @@
-// Tests for the two operators a routing round is built from: JoinArranged
-// reading a shared Arrange, and the multi-input Reduce. Each is checked
+// Tests for the operators redistribution, aggregation and FIB selection are
+// built from: JoinArranged reading a shared Arrange, and the multi-input
+// Reduce. Each is checked
 // against a from-scratch computation, including under a feedback edge that
 // flushes a reader several times in one commit and across a save/load of
 // operator state.

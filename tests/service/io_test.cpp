@@ -194,6 +194,48 @@ TEST(RunService, MalformedFrameValueAnswersErrorAndKeepsServing) {
   EXPECT_TRUE(find_by_id(responses, 7)->get_bool("ok"));
 }
 
+TEST(RunService, RefusalEchoesTheRequestIdInBothFramings) {
+  // A pipelining client must be able to tell which request was refused: a
+  // request that parses but fails validation answers with its own id.
+  json::Value bad = open_doc(2, "other", 4);
+  bad["threads"] = json::Value(std::int64_t{4294967297});
+  const std::vector<json::Value> requests = {open_doc(1, "net", 4), bad,
+                                             verb_doc(3, "net", "query")};
+  for (const bool binary : {false, true}) {
+    std::ostringstream req_stream;
+    if (binary) write_magic(req_stream);
+    for (const json::Value& r : requests) {
+      if (binary) {
+        write_frame(req_stream, encode_frame(r).substr(4));
+      } else {
+        req_stream << r.dump() << "\n";
+      }
+    }
+    std::istringstream in(req_stream.str());
+    std::ostringstream out;
+    run_service(in, out);
+
+    std::vector<json::Value> responses;
+    if (binary) {
+      responses = decode_output(out.str());
+    } else {
+      std::istringstream lines(out.str());
+      for (std::string line; std::getline(lines, line);) {
+        responses.push_back(json::Value::parse(line));
+      }
+    }
+    const std::string framing = binary ? "binary" : "jsonl";
+    ASSERT_EQ(responses.size(), 3u) << framing << ": " << out.str();
+    for (std::int64_t id : {1, 2, 3}) {
+      const json::Value* r = find_by_id(responses, id);
+      ASSERT_NE(r, nullptr) << framing << ": no answer with id " << id;
+      EXPECT_EQ(r->get_bool("ok"), id != 2) << framing << ": " << r->dump();
+    }
+    EXPECT_EQ(find_by_id(responses, 2)->get_string("error"), "'threads' must be <= 64");
+    EXPECT_EQ(find_by_id(responses, 0), nullptr) << framing;
+  }
+}
+
 /// A streambuf that throws once, mid-write, after `trigger` bytes — the
 /// shape of a peer hanging up while a response is being written.
 class ThrowOnceBuf : public std::streambuf {

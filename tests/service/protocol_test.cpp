@@ -155,6 +155,57 @@ TEST(Protocol, RejectsOutOfRangeNumbers) {
   EXPECT_EQ(r.options.verifier.reclamation.bdd_watermark, 0u);
 }
 
+TEST(Protocol, RefusesUnknownFieldsNamingThem) {
+  const auto refused_field = [](const std::string& line) -> std::string {
+    try {
+      parse_request(line);
+    } catch (const ProtocolError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + e.field() + "'"), std::string::npos) << e.what();
+      return e.field();
+    }
+    return "(accepted)";
+  };
+  const std::string open =
+      R"({"id":1,"op":"open","session":"s","topology":{"kind":"ring","n":4},)"
+      R"("config":"hostname r0",)";
+  // A retired option and a misspelt one must not open with defaults.
+  EXPECT_EQ(refused_field(open + R"("flush_budget":1000})"), "flush_budget");
+  EXPECT_EQ(refused_field(open + R"("thredas":3})"), "thredas");
+  EXPECT_EQ(refused_field(open + R"("threads":3})"), "(accepted)");
+  // Every verb checks against the fields it reads, not the union of all.
+  EXPECT_EQ(refused_field(R"({"id":1,"op":"commit","session":"s","config":"x"})"), "config");
+  EXPECT_EQ(refused_field(R"({"id":1,"op":"propose","session":"s","config":"x","threads":2})"),
+            "threads");
+  EXPECT_EQ(refused_field(R"({"id":1,"op":"query","session":"s","detail":true})"), "detail");
+  EXPECT_EQ(refused_field(R"({"id":1,"op":"stats","verbose":true})"), "verbose");
+  EXPECT_EQ(refused_field(R"({"id":1,"op":"sweep","session":"s","budget":4,"detail":true})"),
+            "(accepted)");
+
+  // The refusal echoes the request's id and carries the field.
+  const json::Value doc = json::Value::parse(
+      R"({"id":7,"op":"open","session":"s","topology":{"kind":"ring","n":4},)"
+      R"("config":"hostname r0","thredas":3})");
+  try {
+    parse_request_doc(doc);
+    ADD_FAILURE() << "accepted an unknown field";
+  } catch (const ProtocolError& e) {
+    const json::Value reply = response_value(refusal(doc, e));
+    EXPECT_EQ(reply.get_int("id"), 7);
+    EXPECT_FALSE(reply.get_bool("ok"));
+    EXPECT_EQ(reply.get_string("field"), "thredas");
+  }
+}
+
+TEST(Protocol, WrongFieldTypesAreRefusals) {
+  // A field of the wrong JSON type is a ProtocolError, which rcfgd answers,
+  // not a json::TypeError, which would escape the request loop.
+  EXPECT_THROW(parse_request(R"({"id":"x","op":"stats"})"), ProtocolError);
+  EXPECT_THROW(parse_request(R"({"id":1,"op":"sweep","session":"s","threads":"two"})"),
+               ProtocolError);
+  EXPECT_THROW(parse_request(R"({"id":1,"op":"query","session":"s","primary":3})"),
+               ProtocolError);
+}
+
 TEST(Protocol, ParsesRelateRequests) {
   Request r = parse_request(
       R"({"id":10,"op":"relate","session":"s","config":"hostname r0",)"

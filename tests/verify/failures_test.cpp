@@ -180,6 +180,44 @@ TEST(FailureSweep, ForkSweepAgreesWithReconvergeSweep) {
   EXPECT_EQ(rc.checker().reachable_pairs(), serial.healthy_pairs);
 }
 
+TEST(FailureSweep, LanesAreKeptAcrossSweeps) {
+  const topo::Topology t = topo::make_fat_tree(4);
+  config::NetworkConfig cfg = config::build_ospf_network(t);
+  RealConfig rc(t);
+  rc.apply(cfg);
+  rc.require_reachable("edge0-0", "edge1-1", config::host_prefix(t.find_node("edge1-1")));
+
+  FailureSweepOptions options;
+  options.max_failures = 2;
+  options.budget = 24;
+  const FailureSweepResult ref = sweep_failures(rc, cfg, options);
+
+  // Every sweep with the same width runs on the same threads, and lanes
+  // claiming scenarios in whatever order they finish leave the report as
+  // the single-threaded one.
+  options.threads = 3;
+  const core::WorkerPool* pool = &rc.lanes(3);
+  for (int round = 0; round < 3; ++round) {
+    const FailureSweepResult r = sweep_failures(rc, cfg, options);
+    EXPECT_EQ(&rc.lanes(3), pool);
+    EXPECT_EQ(r.critical_links, ref.critical_links);
+    EXPECT_EQ(r.policy_violations, ref.policy_violations);
+    ASSERT_EQ(r.outcomes.size(), ref.outcomes.size());
+    for (std::size_t i = 0; i < ref.outcomes.size(); ++i) {
+      const ScenarioOutcome& a = ref.outcomes[i];
+      const ScenarioOutcome& b = r.outcomes[i];
+      EXPECT_EQ(b.scenario, a.scenario) << "round " << round << " scenario " << i;
+      EXPECT_EQ(b.diverged, a.diverged);
+      EXPECT_EQ(b.reachable_pairs, a.reachable_pairs);
+      EXPECT_EQ(b.pairs_lost, a.pairs_lost);
+      EXPECT_EQ(b.violated, a.violated);
+      EXPECT_EQ(b.gained_loop, a.gained_loop);
+    }
+  }
+  EXPECT_EQ(rc.lanes(2).size(), 2u);
+  EXPECT_EQ(rc.checker().reachable_pairs(), ref.healthy_pairs);
+}
+
 TEST(FailureSweep, ForkSweepRecordsDivergenceWithoutTouchingParent) {
   const topo::Topology t = topo::make_full_mesh(4);
   const config::NetworkConfig healthy = stabilized_gadget(t);
